@@ -8,7 +8,7 @@
 use crate::config::ExecutionMode;
 use crate::error::VisapultError;
 use crate::platform::ComputePlatform;
-use crate::service::{BackendPlacement, PlaneKind, QualityTier};
+use crate::service::{BackendPlacement, QualityTier};
 use crate::transport::TcpTuning;
 use netsim::{Testbed, TestbedKind};
 use serde::{Deserialize, Serialize};
@@ -196,7 +196,9 @@ pub struct TransportSpec {
 /// fan-out plane for real (zero-copy multicast, per-session bounded queues,
 /// per-session WAN pacing), the virtual-time path replays the identical
 /// broker state machine — so the deterministic session/render telemetry is
-/// the same on either path and covered by replay fingerprints.
+/// the same on either path and covered by replay fingerprints.  Unknown keys
+/// are ignored, so a leftover `plane = ...` from before the real path had a
+/// single plane still loads.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServiceTableSpec {
     /// Hard cap on concurrently admitted sessions (defaults to 64).
@@ -208,13 +210,10 @@ pub struct ServiceTableSpec {
     pub render_slots: Option<u32>,
     /// Bounded per-session fan-out queue depth in chunks (defaults to 64).
     pub queue_depth: Option<usize>,
-    /// Real-path plane implementation: `"threaded"` (the default; one OS
-    /// thread per session) or `"async"` (polled tasks over a bounded worker
-    /// pool).  Deterministic telemetry and replay fingerprints are identical
-    /// either way — this knob trades OS threads for memory, nothing else.
-    pub plane: Option<PlaneKind>,
-    /// Worker-pool threads when `plane = "async"` (defaults to the machine's
-    /// parallelism, clamped to 2..=8; ignored by the threaded plane).
+    /// Worker-pool threads of the real-path fan-out plane, split across the
+    /// broker shards (defaults to the machine's parallelism, clamped to
+    /// 2..=8).  Deterministic telemetry and replay fingerprints are
+    /// identical whatever the pool size.
     pub workers: Option<usize>,
     /// Independent broker shards sessions partition into by viewpoint hash
     /// (defaults to 1 — the classic single broker, byte-identical replay

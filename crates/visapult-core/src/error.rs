@@ -15,6 +15,9 @@ pub enum VisapultError {
     Io(std::io::Error),
     /// A configuration error detected before running.
     Config(String),
+    /// The fan-out service plane failed while running (a plane task or the
+    /// plane thread panicked).
+    Service(String),
 }
 
 impl fmt::Display for VisapultError {
@@ -25,6 +28,7 @@ impl fmt::Display for VisapultError {
             VisapultError::Protocol(msg) => write!(f, "protocol error: {msg}"),
             VisapultError::Io(e) => write!(f, "I/O error: {e}"),
             VisapultError::Config(msg) => write!(f, "configuration error: {msg}"),
+            VisapultError::Service(msg) => write!(f, "service plane error: {msg}"),
         }
     }
 }
@@ -63,5 +67,8 @@ mod tests {
         assert!(e.to_string().contains("boom"));
         assert!(VisapultError::Config("bad".into()).to_string().contains("bad"));
         assert!(VisapultError::Protocol("short".into()).to_string().contains("short"));
+        assert!(VisapultError::Service("down".into())
+            .to_string()
+            .contains("service plane"));
     }
 }

@@ -53,10 +53,10 @@ mod plane;
 pub use clock::{Clock, VirtualClock, WallClock};
 pub use fabric::{Fabric, FabricLinks, ModeledFabric, StripedFabric};
 pub use farm::{ModelFarm, MultiBackendFarm, RenderFarm, ThreadFarm};
-pub use plane::{AsyncPlane, FanoutPlane, PlaneSession, ReplayPlane, ServicePlane};
+pub use plane::{FanoutPlane, PlaneSession, ReplayPlane, ServicePlane};
 
 use crate::backend::BackendReport;
-use crate::campaign::real::{RealCampaignConfig, RealDataPath, RealDpssEnv, ServicePlan};
+use crate::campaign::real::{RealDataPath, RealDpssEnv, ServicePlan};
 use crate::campaign::scenario::report::{fnv1a, CampaignReport, StageMetrics, StageReport, FNV_OFFSET};
 use crate::campaign::scenario::{
     CacheReport, ExecutionPath, ResolvedScenario, ResolvedTelemetry, ScenarioSpec, ServiceReport, TelemetryReport,
@@ -75,8 +75,7 @@ use netlogger::{tags, Collector, Event, EventLog, FieldValue, NetLogger, Profile
 
 /// Everything one stage execution needs, whichever capability set drives it.
 ///
-/// Built by [`Pipeline::run`] from a [`ResolvedScenario`] stage, or by the
-/// deprecated facades from their legacy config structs.
+/// Built by [`Pipeline::run`] from a [`ResolvedScenario`] stage.
 pub struct StageContext<'a> {
     /// The shared pipeline shape (dataset, PEs, timesteps, mode, render).
     pub pipeline: PipelineConfig,
@@ -158,7 +157,7 @@ pub struct PhaseMeans {
 }
 
 /// What a [`RenderFarm`] produced for one stage: the deterministic counters
-/// every report needs, plus the path-specific artifacts the facades repackage.
+/// every report needs, plus the real farm's back-end and viewer reports.
 pub struct FarmRun {
     /// End-to-end stage time in seconds (wall clock, or modeled).
     pub total_time: f64,
@@ -182,8 +181,7 @@ pub struct FarmRun {
 }
 
 /// Everything one stage execution produced: what [`Pipeline::run`]
-/// folds into a [`StageReport`] and the deprecated facades repackage into
-/// their legacy report types.
+/// folds into a [`StageReport`].
 pub struct StageArtifacts {
     /// The render farm's outcome.
     pub run: FarmRun,
@@ -291,7 +289,7 @@ impl PathCapabilities {
 /// the service plane, run the farm (load → render → stripe → composite),
 /// then collect the service, transport and cache telemetry through the
 /// shared emitters.  This is the *only* stage driver — both execution paths
-/// and all the deprecated facades run through it.
+/// run through it.
 pub(crate) fn drive_stage(caps: &PathCapabilities, ctx: &StageContext<'_>) -> Result<StageArtifacts, VisapultError> {
     ctx.pipeline.validate().map_err(VisapultError::Config)?;
     let collector = caps.clock.collector();
@@ -623,29 +621,6 @@ impl Pipeline {
             telemetry: Some(telemetry),
             notes: resolved.validation_notes(),
         })
-    }
-
-    /// Run a single legacy-config stage through the shared control flow —
-    /// what the deprecated `run_real_campaign*` facades delegate to.
-    pub(crate) fn drive_real_stage(
-        config: &RealCampaignConfig,
-        env: Option<&RealDpssEnv>,
-    ) -> Result<StageArtifacts, VisapultError> {
-        let caps = PathCapabilities::real();
-        let ctx = StageContext {
-            pipeline: config.pipeline.clone(),
-            transport: config.transport.clone(),
-            viewer_image: config.viewer_image,
-            seed: config.seed,
-            data_path: config.data_path,
-            service: config.service.clone(),
-            env,
-            sim: None,
-            cache_replay: None,
-            metrics: MetricsHub::disabled(),
-            telemetry: ResolvedTelemetry::default(),
-        };
-        drive_stage(&caps, &ctx)
     }
 }
 

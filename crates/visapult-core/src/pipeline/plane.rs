@@ -2,24 +2,27 @@
 //!
 //! With a [`ServicePlan`] configured, the real plane ([`FanoutPlane`])
 //! splices the shared-render broker between the backend links and the
-//! primary viewer: chunks forward to the primary with the classic blocking
-//! backpressure while zero-copy clones multicast onto per-session bounded
-//! queues.  The replay plane ([`ReplayPlane`]) advances the *identical*
-//! deterministic broker state machine over the same frame counter without
-//! moving a byte, and folds the offered fan-out load in from the modeled
-//! chunk plan — so the lifecycle and shared-render telemetry is
-//! byte-identical across paths.
+//! primary viewer: chunks forward to the primary with backpressure while
+//! zero-copy clones multicast onto per-session bounded queues.  The replay
+//! plane ([`ReplayPlane`]) advances the *identical* deterministic broker
+//! state machine over the same frame counter without moving a byte, and
+//! folds the offered fan-out load in from the modeled chunk plan — so the
+//! lifecycle and shared-render telemetry is byte-identical across paths.
+//!
+//! [`ServicePlan`]: crate::campaign::real::ServicePlan
 
-use super::{modeled_segment_lens, FabricLinks, FarmRun, StageContext};
+use super::{modeled_segment_lens, Clock, FabricLinks, FarmRun, StageContext, WallClock};
 use crate::error::VisapultError;
-use crate::service::asyncplane::{drive_async_service_plane_metered, drive_sharded_async_plane_metered};
-use crate::service::fanout::{drive_service_plane_metered, drive_sharded_service_plane_metered, PlaneTelemetry};
+use crate::service::asyncplane::drive_plane;
+use crate::service::fanout::PlaneTelemetry;
 use crate::service::{
-    log_service_stats_sampled, log_service_telemetry, log_shard_overprovision, shard_overprovision, PlaneKind,
-    ServiceRunReport, SessionBroker, ShardedBroker,
+    log_service_stats_sampled, log_service_telemetry, log_shard_overprovision, shard_overprovision, ServiceRunReport,
+    ShardedBroker,
 };
 use crate::transport::{plan_chunks, striped_link, StripeReceiver, StripeSender, TransportConfig};
 use netlogger::{Collector, MetricsHub};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// The fan-out capability: given the fabric's links, optionally splice a
 /// session-serving plane between the farm and the viewer.
@@ -47,67 +50,43 @@ pub trait PlaneSession {
     ) -> Result<Option<ServiceRunReport>, VisapultError>;
 }
 
-/// The real shared-render fan-out plane.
-///
-/// Splices whichever implementation the stage's [`ServicePlan`] selects
-/// ([`crate::service::PlaneKind`]): the classic thread-per-session plane or
-/// the executor-backed async plane.  [`AsyncPlane`] forces the async
-/// implementation regardless of the plan.
-///
-/// [`ServicePlan`]: crate::campaign::real::ServicePlan
+/// The real shared-render fan-out plane: the executor-backed drive over a
+/// [`ShardedBroker`] (one shard unless the plan asks for more), run on its
+/// own coordinator thread so the farm never blocks on it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FanoutPlane;
 
 impl FanoutPlane {
-    /// Run the threaded fan-out plane over a set of backend links directly —
-    /// the supported entry point for harnesses that drive the plane without
-    /// a full pipeline (benchmarks, plane-level tests).  One thread per PE
-    /// link forwards chunks to the primary viewer (blocking backpressure)
-    /// and multicasts zero-copy clones to every admitted session.
+    /// Run the plane over a set of backend links directly — the supported
+    /// entry point for harnesses that drive the plane without a full
+    /// pipeline (benchmarks, plane-level tests).  Blocks until the campaign
+    /// drains; every consumer, pump, and pacer runs as a polled task on
+    /// `workers` pool threads split across the broker's shards.  Wave
+    /// latencies, queue-depth high-waters, fan-out counters and the
+    /// executor's `exec/*` introspection land in `hub` (pass
+    /// [`MetricsHub::disabled`] for an unmetered run).
     pub fn drive(
-        broker: SessionBroker,
-        inputs: Vec<StripeReceiver>,
-        primary: Vec<StripeSender>,
-        transport: &TransportConfig,
-    ) -> ServiceRunReport {
-        Self::drive_metered(broker, inputs, primary, transport, &MetricsHub::disabled())
-    }
-
-    /// [`FanoutPlane::drive`] with a live [`MetricsHub`]: wave latencies,
-    /// queue-depth high-waters and fan-out counters land in `hub` — how the
-    /// benchmarks extract per-stage percentiles without a full pipeline.
-    pub fn drive_metered(
-        broker: SessionBroker,
-        inputs: Vec<StripeReceiver>,
-        primary: Vec<StripeSender>,
-        transport: &TransportConfig,
-        hub: &MetricsHub,
-    ) -> ServiceRunReport {
-        drive_service_plane_metered(broker, inputs, primary, transport, &PlaneTelemetry::new(hub.clone(), 0))
-    }
-
-    /// Run the threaded plane over a [`ShardedBroker`]: each shard lives
-    /// behind its own counted lock, and the report carries per-shard
-    /// [`crate::service::ShardLockStats`].
-    pub fn drive_sharded(
         broker: ShardedBroker,
         inputs: Vec<StripeReceiver>,
         primary: Vec<StripeSender>,
         transport: &TransportConfig,
-    ) -> ServiceRunReport {
-        Self::drive_sharded_metered(broker, inputs, primary, transport, &MetricsHub::disabled())
-    }
-
-    /// [`FanoutPlane::drive_sharded`] with a live [`MetricsHub`].
-    pub fn drive_sharded_metered(
-        broker: ShardedBroker,
-        inputs: Vec<StripeReceiver>,
-        primary: Vec<StripeSender>,
-        transport: &TransportConfig,
+        workers: usize,
         hub: &MetricsHub,
     ) -> ServiceRunReport {
-        drive_sharded_service_plane_metered(broker, inputs, primary, transport, &PlaneTelemetry::new(hub.clone(), 0))
+        drive_plane(
+            &wall_clock(),
+            broker,
+            inputs,
+            primary,
+            transport,
+            workers,
+            &PlaneTelemetry::new(hub.clone(), 0),
+        )
     }
+}
+
+fn wall_clock() -> Arc<dyn Clock> {
+    Arc::new(WallClock)
 }
 
 impl ServicePlane for FanoutPlane {
@@ -116,211 +95,88 @@ impl ServicePlane for FanoutPlane {
         ctx: &StageContext<'_>,
         links: FabricLinks,
     ) -> Result<(FabricLinks, Box<dyn PlaneSession>), VisapultError> {
-        let plane = ctx.service.as_ref().map(|plan| plan.plane_kind()).unwrap_or_default();
-        splice_fanout(ctx, links, plane, None)
-    }
-}
-
-/// The executor-backed fan-out plane, forced regardless of the stage plan's
-/// `plane` knob: session consumers, stripe pumps, and pacers run as polled
-/// tasks over a bounded worker pool, so OS thread count is the pool size —
-/// independent of session count.  Select it with
-/// `Pipeline::builder(..).service_plane(Box::new(AsyncPlane::default()))`, or
-/// declaratively with `[service] plane = "async"` (which routes through
-/// [`FanoutPlane`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AsyncPlane {
-    /// Worker-pool threads (`None` = sized to the machine, clamped 2..=8).
-    pub workers: Option<usize>,
-}
-
-impl AsyncPlane {
-    /// A plane with an explicit worker-pool size.
-    pub fn with_workers(workers: usize) -> AsyncPlane {
-        AsyncPlane { workers: Some(workers) }
-    }
-
-    /// Run the async fan-out plane over a set of backend links directly —
-    /// the executor-backed twin of [`FanoutPlane::drive`].  The call blocks
-    /// until the campaign drains, but every consumer, pump, and pacer runs
-    /// as a polled task on the worker pool.
-    pub fn drive(
-        &self,
-        broker: SessionBroker,
-        inputs: Vec<StripeReceiver>,
-        primary: Vec<StripeSender>,
-        transport: &TransportConfig,
-    ) -> ServiceRunReport {
-        self.drive_metered(broker, inputs, primary, transport, &MetricsHub::disabled())
-    }
-
-    /// [`AsyncPlane::drive`] with a live [`MetricsHub`]: on top of the
-    /// fan-out metrics, the executor's introspection counters (`exec/*` —
-    /// polls, poll nanoseconds, parks, wakes, idle sweeps, run-queue
-    /// high-water) fold into `hub` when the pool winds down.
-    pub fn drive_metered(
-        &self,
-        broker: SessionBroker,
-        inputs: Vec<StripeReceiver>,
-        primary: Vec<StripeSender>,
-        transport: &TransportConfig,
-        hub: &MetricsHub,
-    ) -> ServiceRunReport {
-        drive_async_service_plane_metered(
-            broker,
-            inputs,
-            primary,
-            transport,
-            self.workers,
-            &PlaneTelemetry::new(hub.clone(), 0),
-        )
-    }
-
-    /// Run the async plane over a [`ShardedBroker`]: each shard gets its own
-    /// lock *and its own executor pool*, so the task-queue serialization
-    /// shards along with the broker.  The report carries per-shard
-    /// [`crate::service::ShardLockStats`].
-    pub fn drive_sharded(
-        &self,
-        broker: ShardedBroker,
-        inputs: Vec<StripeReceiver>,
-        primary: Vec<StripeSender>,
-        transport: &TransportConfig,
-    ) -> ServiceRunReport {
-        self.drive_sharded_metered(broker, inputs, primary, transport, &MetricsHub::disabled())
-    }
-
-    /// [`AsyncPlane::drive_sharded`] with a live [`MetricsHub`]: every shard
-    /// executor's introspection counters fold into `hub`.
-    pub fn drive_sharded_metered(
-        &self,
-        broker: ShardedBroker,
-        inputs: Vec<StripeReceiver>,
-        primary: Vec<StripeSender>,
-        transport: &TransportConfig,
-        hub: &MetricsHub,
-    ) -> ServiceRunReport {
-        drive_sharded_async_plane_metered(
-            broker,
-            inputs,
-            primary,
-            transport,
-            self.workers,
-            &PlaneTelemetry::new(hub.clone(), 0),
-        )
-    }
-}
-
-impl ServicePlane for AsyncPlane {
-    fn splice(
-        &self,
-        ctx: &StageContext<'_>,
-        links: FabricLinks,
-    ) -> Result<(FabricLinks, Box<dyn PlaneSession>), VisapultError> {
-        // An explicit builder worker count wins; otherwise the plan's.
-        let workers = self.workers.or_else(|| ctx.service.as_ref().and_then(|p| p.workers));
-        splice_fanout(ctx, links, PlaneKind::Async, workers)
-    }
-}
-
-/// Shared splice body: wire the plane between the backend links and fresh
-/// primary viewer links, then run the selected implementation on its own
-/// coordinator thread (the farm must not block on the plane).
-fn splice_fanout(
-    ctx: &StageContext<'_>,
-    links: FabricLinks,
-    plane: PlaneKind,
-    workers_override: Option<usize>,
-) -> Result<(FabricLinks, Box<dyn PlaneSession>), VisapultError> {
-    let Some(plan) = &ctx.service else {
-        return Ok((links, Box::new(NoSession)));
-    };
-    // The backend links feed the plane; the viewer moves onto fresh
-    // primary links.  The primary links are an unpaced copy of the
-    // transport config: the backend link already applied any WAN
-    // pacing, shaping twice would halve the rate.
-    let FabricLinks {
-        senders,
-        receivers: plane_inputs,
-        stats,
-    } = links;
-    let primary_config = TransportConfig {
-        pace_rate_mbps: None,
-        ..ctx.transport.clone()
-    };
-    let mut primary_txs = Vec::with_capacity(ctx.pipeline.pes);
-    let mut primary_rxs = Vec::with_capacity(ctx.pipeline.pes);
-    for _ in 0..ctx.pipeline.pes {
-        let (tx, rx) = striped_link(&primary_config);
-        primary_txs.push(tx);
-        primary_rxs.push(rx);
-    }
-    let workers = workers_override.or(plan.workers);
-    let plane_transport = ctx.transport.clone();
-    // The stage's metrics hub rides into the plane thread: wave latencies,
-    // queue high-waters and (async) executor introspection all land in the
-    // same hub the pipeline folds into the campaign's TelemetryReport.
-    let plane_telemetry = PlaneTelemetry::new(ctx.metrics.clone(), ctx.telemetry.snapshot_frames);
-    // `shards = 1` takes the classic single-broker path bit for bit; above 1
-    // the sessions partition into independent broker shards.
-    let sharded = if plan.config.shard_count() > 1 {
-        Some(ShardedBroker::new(plan.config.clone(), plan.sessions.clone()))
-    } else {
-        None
-    };
-    let broker = if sharded.is_none() {
-        Some(SessionBroker::new(plan.config.clone(), plan.sessions.clone()))
-    } else {
-        None
-    };
-    let handle = std::thread::Builder::new()
-        .name("visapult-service-plane".to_string())
-        .spawn(move || match (plane, sharded) {
-            (PlaneKind::Threaded, Some(sharded)) => drive_sharded_service_plane_metered(
-                sharded,
-                plane_inputs,
-                primary_txs,
-                &plane_transport,
-                &plane_telemetry,
-            ),
-            (PlaneKind::Async, Some(sharded)) => drive_sharded_async_plane_metered(
-                sharded,
-                plane_inputs,
-                primary_txs,
-                &plane_transport,
-                workers,
-                &plane_telemetry,
-            ),
-            (PlaneKind::Threaded, None) => drive_service_plane_metered(
-                broker.expect("unsharded broker"),
-                plane_inputs,
-                primary_txs,
-                &plane_transport,
-                &plane_telemetry,
-            ),
-            (PlaneKind::Async, None) => drive_async_service_plane_metered(
-                broker.expect("unsharded broker"),
-                plane_inputs,
-                primary_txs,
-                &plane_transport,
-                workers,
-                &plane_telemetry,
-            ),
-        })
-        .expect("spawn service plane");
-    Ok((
-        FabricLinks {
+        let Some(plan) = &ctx.service else {
+            return Ok((links, Box::new(NoSession)));
+        };
+        // The backend links feed the plane; the viewer moves onto fresh
+        // primary links.  The primary links are an unpaced copy of the
+        // transport config: the backend link already applied any WAN
+        // pacing, shaping twice would halve the rate.
+        let FabricLinks {
             senders,
-            receivers: primary_rxs,
+            receivers: plane_inputs,
             stats,
-        },
-        Box::new(FanoutSession { handle }),
-    ))
+        } = links;
+        let primary_config = TransportConfig {
+            pace_rate_mbps: None,
+            ..ctx.transport.clone()
+        };
+        let mut primary_txs = Vec::with_capacity(ctx.pipeline.pes);
+        let mut primary_rxs = Vec::with_capacity(ctx.pipeline.pes);
+        for _ in 0..ctx.pipeline.pes {
+            let (tx, rx) = striped_link(&primary_config);
+            primary_txs.push(tx);
+            primary_rxs.push(rx);
+        }
+        let session = FanoutSession::spawn(
+            wall_clock(),
+            ShardedBroker::new(plan.config.clone(), plan.sessions.clone()),
+            plane_inputs,
+            primary_txs,
+            ctx.transport.clone(),
+            plan.workers.unwrap_or_else(exec::default_workers),
+            // The stage's metrics hub rides into the plane thread: wave
+            // latencies, queue high-waters and executor introspection land
+            // in the same hub the pipeline folds into the campaign's
+            // TelemetryReport.
+            PlaneTelemetry::new(ctx.metrics.clone(), ctx.telemetry.snapshot_frames),
+        )?;
+        Ok((
+            FabricLinks {
+                senders,
+                receivers: primary_rxs,
+                stats,
+            },
+            Box::new(session),
+        ))
+    }
 }
 
 /// A live fan-out plane thread, joined once the farm completes.
 struct FanoutSession {
-    handle: std::thread::JoinHandle<ServiceRunReport>,
+    handle: JoinHandle<ServiceRunReport>,
+}
+
+impl FanoutSession {
+    /// Run the plane on its own coordinator thread.
+    fn spawn(
+        clock: Arc<dyn Clock>,
+        broker: ShardedBroker,
+        inputs: Vec<StripeReceiver>,
+        primary: Vec<StripeSender>,
+        transport: TransportConfig,
+        workers: usize,
+        telemetry: PlaneTelemetry,
+    ) -> Result<FanoutSession, VisapultError> {
+        let handle = std::thread::Builder::new()
+            .name("visapult-service-plane".to_string())
+            .spawn(move || drive_plane(&clock, broker, inputs, primary, &transport, workers, &telemetry))?;
+        Ok(FanoutSession { handle })
+    }
+
+    /// Join the plane thread.  A plane that panicked — including one whose
+    /// task panicked on a worker — is a typed error, never a hang or a
+    /// re-raised panic.
+    fn join(self) -> Result<ServiceRunReport, VisapultError> {
+        self.handle.join().map_err(|panic| {
+            let detail = panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or("unknown panic");
+            VisapultError::Service(format!("fan-out plane failed: {detail}"))
+        })
+    }
 }
 
 impl PlaneSession for FanoutSession {
@@ -330,7 +186,7 @@ impl PlaneSession for FanoutSession {
         _run: &FarmRun,
         collector: &Collector,
     ) -> Result<Option<ServiceRunReport>, VisapultError> {
-        let report = self.handle.join().expect("service plane panicked");
+        let report = self.join()?;
         let logger = collector.logger("service", "session-broker");
         // Lifeline sampling thins only the per-session lifecycle events —
         // deterministically by session id, so both paths keep (or drop)
@@ -352,7 +208,7 @@ impl PlaneSession for FanoutSession {
     }
 }
 
-/// The deterministic broker replay: the identical [`SessionBroker`] state
+/// The deterministic broker replay: the identical [`ShardedBroker`] state
 /// machine the real plane drives, advanced over the same frame counter.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReplayPlane;
@@ -390,26 +246,16 @@ impl PlaneSession for ReplaySession {
         let chunks = plans.len() as u64 * ctx.pipeline.pes as u64;
         let bytes = plans.iter().map(|p| p.len as u64).sum::<u64>() * ctx.pipeline.pes as u64;
         let per_frame = vec![(chunks, bytes); timesteps];
-        // The replay twin of the real plane's shard gating: above one shard
-        // the identical ShardedBroker composite replays the partitioned
-        // decisions, so fingerprinted telemetry matches the real path.
-        let (stats, events) = if plan.config.shard_count() > 1 {
-            let mut broker = ShardedBroker::new(plan.config.clone(), plan.sessions.clone());
-            if timesteps > 0 {
-                broker.advance_to(timesteps as u32 - 1);
-            }
-            broker.finish();
-            broker.fold_fanout_load(&per_frame);
-            (broker.stats(), broker.events())
-        } else {
-            let mut broker = SessionBroker::new(plan.config.clone(), plan.sessions.clone());
-            if timesteps > 0 {
-                broker.advance_to(timesteps as u32 - 1);
-            }
-            broker.finish();
-            broker.fold_fanout_load(&per_frame);
-            (broker.stats().clone(), broker.events().to_vec())
-        };
+        // The identical ShardedBroker the real plane drives (one shard
+        // unless the plan asks for more), so fingerprinted telemetry matches
+        // the real path.
+        let mut broker = ShardedBroker::new(plan.config.clone(), plan.sessions.clone());
+        if timesteps > 0 {
+            broker.advance_to(timesteps as u32 - 1);
+        }
+        broker.finish();
+        broker.fold_fanout_load(&per_frame);
+        let (stats, events) = (broker.stats(), broker.events());
         let logger = collector.logger("service", "session-broker");
         // The identical deterministic sampling as the real path: the same
         // session ids keep their lifelines, so NLV overlays line up.
@@ -450,5 +296,76 @@ impl PlaneSession for NoSession {
         _collector: &Collector,
     ) -> Result<Option<ServiceRunReport>, VisapultError> {
         Ok(None)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::{QualityTier, ServiceConfig, SessionSpec};
+    use crate::test_support::sample_frame;
+    use std::time::Duration;
+
+    /// A clock that fails when read: any plane task pacing against it
+    /// panics mid-campaign.
+    struct BrokenClock;
+
+    impl Clock for BrokenClock {
+        fn collector(&self) -> Collector {
+            Collector::virtual_time()
+        }
+
+        fn is_virtual(&self) -> bool {
+            true
+        }
+
+        fn label(&self) -> &'static str {
+            "broken"
+        }
+
+        fn monotonic_now(&self) -> Duration {
+            panic!("clock failure under test");
+        }
+    }
+
+    #[test]
+    fn a_panicking_plane_task_surfaces_as_a_typed_error_instead_of_a_hang() {
+        let transport = TransportConfig::default().with_stripes(2).with_chunk_bytes(256);
+        // One stripe paced so slowly that the campaign overruns the pacer's
+        // burst allowance: the consumer task then computes a deadline — and
+        // so reads the broken clock.
+        let mut paced = SessionSpec::new("paced", 0, QualityTier::Standard).paced_at_mbps(0.01);
+        paced.stripes = 1;
+        let config = ServiceConfig {
+            queue_depth: 64,
+            ..ServiceConfig::default()
+        };
+        let (tx, rx) = striped_link(&transport);
+        let plane = FanoutSession::spawn(
+            Arc::new(BrokenClock),
+            ShardedBroker::new(config, vec![paced]),
+            vec![rx],
+            Vec::new(),
+            transport,
+            2,
+            PlaneTelemetry::disabled(),
+        )
+        .unwrap();
+        for f in 0..4 {
+            tx.send_frame(&sample_frame(0, f, 16)).unwrap();
+        }
+        drop(tx);
+        // Bounded wait: a plane that hangs fails the test instead.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done_tx.send(plane.join());
+        });
+        match done_rx.recv_timeout(Duration::from_secs(30)) {
+            Ok(Err(VisapultError::Service(detail))) => {
+                assert!(detail.contains("session consumer"), "{detail}");
+            }
+            Ok(other) => panic!("expected a service-plane error, got {other:?}"),
+            Err(_) => panic!("the plane hung after a task panicked"),
+        }
     }
 }

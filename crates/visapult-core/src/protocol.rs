@@ -222,7 +222,7 @@ fn decode_heavy_inner(msg: &[u8], texture: impl FnOnce(usize, usize) -> Bytes) -
         ));
     }
     let seg_count = body.get_u32() as usize;
-    if body.remaining() < seg_count * 24 {
+    if seg_count.checked_mul(24).is_none_or(|len| body.remaining() < len) {
         return Err(VisapultError::Protocol("heavy payload geometry truncated".to_string()));
     }
     let mut geometry = Vec::with_capacity(seg_count);
@@ -388,7 +388,7 @@ impl FrameSegments {
             ));
         }
         let seg_count = g.get_u32() as usize;
-        if g.remaining() != seg_count * 24 {
+        if seg_count.checked_mul(24) != Some(g.remaining()) {
             return Err(VisapultError::Protocol("heavy payload geometry truncated".to_string()));
         }
         if seg_count != light.geometry_segments as usize {
@@ -423,17 +423,23 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &FramePayload) -> Result<(), Visa
 }
 
 /// Read one complete message (header + body) from a byte stream into a
-/// shared buffer, so decoders can slice it zero-copy.
+/// shared buffer, so decoders can slice it zero-copy.  The header's length
+/// is untrusted: the body is read through `take(len)`, so the buffer grows
+/// with the bytes that actually arrive, and a stream that ends short of the
+/// claim is a typed protocol error.
 fn read_message<R: Read>(r: &mut R) -> Result<Bytes, VisapultError> {
     let mut header = [0u8; 9];
     r.read_exact(&mut header)?;
     let mut h = &header[4..];
     let _type = h.get_u8();
-    let len = h.get_u32() as usize;
-    let mut msg = Vec::with_capacity(9 + len);
-    msg.extend_from_slice(&header);
-    msg.resize(9 + len, 0);
-    r.read_exact(&mut msg[9..])?;
+    let len = h.get_u32() as u64;
+    let mut msg = header.to_vec();
+    let received = r.take(len).read_to_end(&mut msg)? as u64;
+    if received < len {
+        return Err(VisapultError::Protocol(format!(
+            "message body truncated: header claims {len} bytes, stream ended after {received}"
+        )));
+    }
     Ok(Bytes::from(msg))
 }
 
@@ -601,6 +607,58 @@ mod tests {
         let mut cursor = std::io::Cursor::new(buf);
         let back = read_frame(&mut cursor).unwrap();
         assert_eq!(back, f);
+    }
+
+    #[test]
+    fn a_length_claim_past_the_stream_end_is_a_typed_error() {
+        // A header claiming u32::MAX body bytes, then five: the read must
+        // fail as a protocol error after buffering what arrived, not size a
+        // 4 GiB buffer from the claim.
+        let mut wire = Vec::new();
+        wire.put_u32(MAGIC);
+        wire.put_u8(TYPE_HEAVY);
+        wire.put_u32(u32::MAX);
+        wire.put_slice(&[1, 2, 3, 4, 5]);
+        let result = read_message(&mut std::io::Cursor::new(wire));
+        assert!(
+            matches!(&result, Err(VisapultError::Protocol(msg)) if msg.contains("truncated")),
+            "{result:?}"
+        );
+    }
+
+    #[test]
+    fn an_overflowing_geometry_count_is_a_typed_error() {
+        // An empty texture, then a segment count whose byte length (x24)
+        // exceeds any buffer, followed by a few bytes.
+        let mut body = Vec::new();
+        body.put_u32(7); // frame
+        body.put_u32(3); // rank
+        body.put_u32(0); // texture length
+        body.put_u32(u32::MAX); // segment count
+        body.put_slice(&[0; 8]);
+        let msg = frame_message(TYPE_HEAVY, &body);
+        assert!(matches!(decode_heavy(&msg), Err(VisapultError::Protocol(_))));
+        assert!(matches!(
+            decode_heavy_shared(&Bytes::from(msg)),
+            Err(VisapultError::Protocol(_))
+        ));
+        // The segment decoder's geometry check, on the same count (with the
+        // heavy header's body length patched to match, so the count is what
+        // gets judged).
+        let mut segments = FrameSegments::encode(&sample_frame());
+        let mut geometry = Vec::new();
+        geometry.put_u32(u32::MAX);
+        geometry.put_slice(&[0; 8]);
+        let body_len = (12 + segments.texture.len() + geometry.len()) as u32;
+        let mut header = segments.heavy_header.to_vec();
+        header[5..9].copy_from_slice(&body_len.to_be_bytes());
+        segments.heavy_header = Bytes::from(header);
+        segments.geometry = Bytes::from(geometry);
+        let result = segments.decode();
+        assert!(
+            matches!(&result, Err(VisapultError::Protocol(msg)) if msg.contains("geometry")),
+            "{result:?}"
+        );
     }
 
     #[test]

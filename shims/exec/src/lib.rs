@@ -24,7 +24,8 @@
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -118,11 +119,14 @@ impl Waker {
 
 struct HandleState {
     done: Mutex<bool>,
+    /// Set (before `done`) when a `poll` panicked instead of returning.
+    panicked: AtomicBool,
     cv: Condvar,
 }
 
 /// Completion handle for a spawned task: `wait` blocks until the task's
-/// `poll` returned [`Poll::Ready`].
+/// `poll` returned [`Poll::Ready`] — or panicked, which finishes the task
+/// just the same (see [`TaskHandle::panicked`]) so no waiter hangs on it.
 #[derive(Clone)]
 pub struct TaskHandle {
     state: Arc<HandleState>,
@@ -132,6 +136,12 @@ impl TaskHandle {
     /// True once the task has finished.
     pub fn is_done(&self) -> bool {
         *self.state.done.lock()
+    }
+
+    /// True when the task finished by panicking in `poll`.  Meaningful once
+    /// [`TaskHandle::is_done`] (or [`TaskHandle::wait`] returned).
+    pub fn panicked(&self) -> bool {
+        self.state.panicked.load(Ordering::Relaxed)
     }
 
     /// Block until the task finishes.
@@ -402,6 +412,7 @@ impl Spawner {
     pub fn spawn(&self, mut task: Box<dyn Task>) -> TaskHandle {
         let handle = Arc::new(HandleState {
             done: Mutex::new(false),
+            panicked: AtomicBool::new(false),
             cv: Condvar::new(),
         });
         let id = {
@@ -545,7 +556,13 @@ fn worker_loop(shared: &Shared, cell: &WorkerCell) {
         let started = Instant::now();
         let polled = batch.len() as u64;
         for mut slot in batch.drain(..) {
-            let outcome = slot.task.poll();
+            // A panicking task is finished, not fatal: the worker survives,
+            // the task is dropped, and its handle completes as panicked —
+            // otherwise its waiter would block forever.
+            let outcome = catch_unwind(AssertUnwindSafe(|| slot.task.poll())).unwrap_or_else(|_| {
+                slot.handle.panicked.store(true, Ordering::Relaxed);
+                Poll::Ready
+            });
             settled.push((slot, outcome));
         }
         cell.polls.fetch_add(polled, Ordering::Relaxed);
@@ -721,6 +738,43 @@ mod tests {
         let inner = inner.lock().take().expect("inner task spawned");
         inner.wait();
         assert_eq!(total.load(Ordering::SeqCst), 7);
+        assert_eq!(exec.live_tasks(), 0);
+    }
+
+    struct Panics;
+
+    impl Task for Panics {
+        fn poll(&mut self) -> Poll {
+            panic!("task failure under test");
+        }
+    }
+
+    #[test]
+    fn a_panicking_task_completes_its_handle_and_spares_the_worker() {
+        let exec = Executor::new(1);
+        let failed = exec.spawn(Box::new(Panics));
+        // Bounded wait: a handle that never completes fails the test instead
+        // of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = failed.clone();
+        std::thread::spawn(move || {
+            waiter.wait();
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("wait() on a panicked task must return");
+        assert!(failed.is_done());
+        assert!(failed.panicked());
+        // The pool's only worker survived the panic and keeps polling.
+        let total = Arc::new(AtomicUsize::new(0));
+        let next = exec.spawn(Box::new(Counter {
+            n: 1,
+            left: 2,
+            total: Arc::clone(&total),
+        }));
+        next.wait();
+        assert!(!next.panicked());
+        assert_eq!(total.load(Ordering::SeqCst), 2);
         assert_eq!(exec.live_tasks(), 0);
     }
 

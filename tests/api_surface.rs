@@ -8,7 +8,6 @@
 
 /// Every name re-exported at the `visapult_core` crate root, sorted.
 const EXPECTED: &[&str] = &[
-    "AsyncPlane",
     "BackendPlacement",
     "CacheReport",
     "CacheSpec",
@@ -39,12 +38,10 @@ const EXPECTED: &[&str] = &[
     "Pipeline",
     "PipelineBuilder",
     "PipelineConfig",
-    "PlaneKind",
     "PlaneSession",
     "PlatformSpec",
     "QualityTier",
     "RealCampaignConfig",
-    "RealCampaignReport",
     "RealDataPath",
     "RealDpssEnv",
     "RejectReason",
@@ -97,11 +94,7 @@ const EXPECTED: &[&str] = &[
     "drain_frames",
     "log_service_telemetry",
     "plan_chunks",
-    "run_real_campaign",
-    "run_real_campaign_in_env",
     "run_scenario",
-    "run_service_plane",
-    "run_sim_campaign",
     "striped_link",
 ];
 

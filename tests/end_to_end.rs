@@ -1,49 +1,112 @@
 //! Cross-crate integration tests: the full pipeline from the DPSS cache
-//! through the parallel back end to the viewer's composited image.
-//!
-//! These tests run through the deprecated `run_real_campaign` facade on
-//! purpose: they are the regression coverage that keeps the legacy
-//! config-level surface working (and identical to the builder path it
-//! delegates to) while callers migrate to `pipeline::Pipeline`.
-#![allow(deprecated)]
+//! through the parallel back end to the viewer's composited image, driven
+//! through `Pipeline::builder` on the real path.
 
-use visapult::core::{run_real_campaign, ExecutionMode, PipelineConfig, RealCampaignConfig, RealDataPath};
-use visapult::netlogger::{tags, LifelinePlot, NlvOptions, ProfileAnalysis};
+use std::sync::{Arc, Mutex};
+use visapult::core::backend::BackendReport;
+use visapult::core::{
+    CampaignReport, FabricLinks, FarmRun, Pipeline, RenderFarm, ScenarioSpec, StageContext, ThreadFarm, ViewerReport,
+    VisapultError,
+};
+use visapult::netlogger::{tags, Collector, LifelinePlot, NlvOptions, ProfileAnalysis};
 
-fn campaign(pes: usize, timesteps: usize, mode: ExecutionMode, path: RealDataPath) -> RealCampaignConfig {
-    let mut config = RealCampaignConfig::small(PipelineConfig::small(pes, timesteps, mode));
-    config.data_path = path;
-    config
+/// Where a real campaign reads its slabs from.
+#[derive(Clone, Copy)]
+enum Data {
+    /// Generated in the back end (no cache).
+    Synthetic,
+    /// Through an in-process DPSS, optionally shaped per server stream.
+    Dpss { stream_rate_mbps: Option<f64> },
+}
+
+/// A one-stage real-path campaign over the laptop-scale 80×32×32 dataset.
+fn campaign(pes: usize, timesteps: usize, execution: &str, data: Data) -> ScenarioSpec {
+    let real = match data {
+        Data::Synthetic => "use_dpss = false".to_string(),
+        Data::Dpss { stream_rate_mbps: None } => "use_dpss = true".to_string(),
+        Data::Dpss {
+            stream_rate_mbps: Some(mbps),
+        } => format!("use_dpss = true\nstream_rate_mbps = {mbps:?}"),
+    };
+    ScenarioSpec::from_toml_str(&format!(
+        "[scenario]\nname = \"end-to-end\"\nseed = 42\npath = \"real\"\n\n\
+         [testbed]\nkind = \"lan-smp\"\n\n\
+         [pipeline]\npes = {pes}\ntimesteps = {timesteps}\nexecution = \"{execution}\"\n\n\
+         [dataset]\ndims = [80, 32, 32]\n\n[real]\n{real}\n"
+    ))
+    .expect("campaign spec parses")
+}
+
+/// The real farm, keeping each stage's back-end and viewer reports: the
+/// campaign report carries only their digest (frame counts, image hash).
+#[derive(Clone, Default)]
+struct KeepReports(Arc<Mutex<Vec<(BackendReport, ViewerReport)>>>);
+
+impl RenderFarm for KeepReports {
+    fn run_stage(
+        &self,
+        ctx: &StageContext<'_>,
+        links: FabricLinks,
+        collector: &Collector,
+    ) -> Result<FarmRun, VisapultError> {
+        let run = ThreadFarm.run_stage(ctx, links, collector)?;
+        let backend = run.backend.clone().expect("the real farm reports its backend");
+        let viewer = run.viewer.clone().expect("the real farm reports its viewer");
+        self.0.lock().unwrap().push((backend, viewer));
+        Ok(run)
+    }
+}
+
+/// One finished campaign with its single stage's back-end and viewer.
+struct Run {
+    report: CampaignReport,
+    backend: BackendReport,
+    viewer: ViewerReport,
+    dataset_bytes: u64,
+}
+
+fn run(spec: ScenarioSpec) -> Run {
+    let farm = KeepReports::default();
+    let pipeline = Pipeline::builder(spec)
+        .render_farm(Box::new(farm.clone()))
+        .build()
+        .unwrap();
+    let resolved = pipeline.resolved();
+    let dataset_bytes = resolved
+        .stage_real_config(&resolved.stages[0], 0)
+        .pipeline
+        .dataset
+        .total_size()
+        .bytes();
+    let report = pipeline.run().unwrap();
+    let (backend, viewer) = farm.0.lock().unwrap().pop().expect("one stage ran");
+    Run {
+        report,
+        backend,
+        viewer,
+        dataset_bytes,
+    }
 }
 
 #[test]
 fn dpss_backed_campaign_end_to_end() {
-    let config = campaign(
-        4,
-        3,
-        ExecutionMode::Serial,
-        RealDataPath::Dpss { stream_rate_mbps: None },
-    );
-    let report = run_real_campaign(&config).unwrap();
+    let run = run(campaign(4, 3, "serial", Data::Dpss { stream_rate_mbps: None }));
 
     // Every PE delivered every frame to the viewer.
-    assert_eq!(report.viewer.frames_received, 4 * 3);
+    assert_eq!(run.viewer.frames_received, 4 * 3);
     // The viewer actually drew something.
-    assert!(report.viewer.final_image.coverage() > 0.01);
+    assert!(run.viewer.final_image.coverage() > 0.01);
     // The amount of data crossing the viewer link is much smaller than the
     // raw data moved out of the cache (the O(n^3) -> O(n^2) reduction).
-    assert!(report.data_reduction_factor() > 1.5);
+    assert!(run.report.data_reduction_factor() > 1.5);
     // The whole dataset was read exactly once.
-    assert_eq!(
-        report.backend.total_bytes_loaded(),
-        config.pipeline.dataset.total_size().bytes()
-    );
+    assert_eq!(run.backend.total_bytes_loaded(), run.dataset_bytes);
 }
 
 #[test]
 fn overlapped_and_serial_campaigns_produce_identical_images() {
-    let serial = run_real_campaign(&campaign(2, 3, ExecutionMode::Serial, RealDataPath::Synthetic)).unwrap();
-    let overlapped = run_real_campaign(&campaign(2, 3, ExecutionMode::Overlapped, RealDataPath::Synthetic)).unwrap();
+    let serial = run(campaign(2, 3, "serial", Data::Synthetic));
+    let overlapped = run(campaign(2, 3, "overlapped", Data::Synthetic));
     assert_eq!(serial.viewer.frames_received, overlapped.viewer.frames_received);
     let diff = serial.viewer.final_image.mean_abs_diff(&overlapped.viewer.final_image);
     assert!(
@@ -56,25 +119,18 @@ fn overlapped_and_serial_campaigns_produce_identical_images() {
 fn shaped_dpss_link_slows_loading_but_not_correctness() {
     // Shape each DPSS server stream to ~1 MB/s so the load phase visibly
     // dominates, the way a WAN-limited campaign behaves.
-    let fast = run_real_campaign(&campaign(
+    let fast = run(campaign(2, 2, "serial", Data::Dpss { stream_rate_mbps: None }));
+    let slow = run(campaign(
         2,
         2,
-        ExecutionMode::Serial,
-        RealDataPath::Dpss { stream_rate_mbps: None },
-    ))
-    .unwrap();
-    let slow = run_real_campaign(&campaign(
-        2,
-        2,
-        ExecutionMode::Serial,
-        RealDataPath::Dpss {
+        "serial",
+        Data::Dpss {
             stream_rate_mbps: Some(8.0),
         },
-    ))
-    .unwrap();
+    ));
     assert_eq!(fast.viewer.frames_received, slow.viewer.frames_received);
-    let fast_load = fast.analysis.load_stats().mean;
-    let slow_load = slow.analysis.load_stats().mean;
+    let fast_load = ProfileAnalysis::from_log(&fast.report.log).load_stats().mean;
+    let slow_load = ProfileAnalysis::from_log(&slow.report.log).load_stats().mean;
     assert!(
         slow_load > fast_load && slow_load > 0.01,
         "shaping should slow the load phase (fast {fast_load:.4}s, slow {slow_load:.4}s)"
@@ -85,7 +141,7 @@ fn shaped_dpss_link_slows_loading_but_not_correctness() {
 
 #[test]
 fn netlogger_profile_covers_both_ends_and_renders_a_lifeline() {
-    let report = run_real_campaign(&campaign(3, 2, ExecutionMode::Overlapped, RealDataPath::Synthetic)).unwrap();
+    let report = run(campaign(3, 2, "overlapped", Data::Synthetic)).report;
     // Backend and viewer events for every (PE, frame).
     assert_eq!(report.log.with_tag(tags::BE_LOAD_END).count(), 6);
     assert_eq!(report.log.with_tag(tags::BE_RENDER_END).count(), 6);
@@ -106,7 +162,7 @@ fn netlogger_profile_covers_both_ends_and_renders_a_lifeline() {
 
 #[test]
 fn single_pe_campaign_works() {
-    let report = run_real_campaign(&campaign(1, 2, ExecutionMode::Overlapped, RealDataPath::Synthetic)).unwrap();
-    assert_eq!(report.viewer.frames_received, 2);
-    assert!(report.viewer.final_image.coverage() > 0.0);
+    let run = run(campaign(1, 2, "overlapped", Data::Synthetic));
+    assert_eq!(run.viewer.frames_received, 2);
+    assert!(run.viewer.final_image.coverage() > 0.0);
 }
