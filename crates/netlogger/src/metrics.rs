@@ -528,23 +528,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_hub_handles_perform_zero_record_ops() {
-        let hub = MetricsHub::disabled();
-        let h = hub.histogram("x");
-        let c = hub.counter("y");
-        let g = hub.high_water("z");
-        let before = live_record_ops();
-        for i in 0..10_000 {
-            h.record(i);
-            c.add(1);
-            g.observe(i);
-        }
-        assert_eq!(live_record_ops() - before, 0, "disabled handles must not touch atomics");
-        assert!(!h.is_live());
-        assert!(hub.snapshot("t").histograms.is_empty());
-    }
-
-    #[test]
     fn enabled_hub_records_and_snapshots() {
         let hub = MetricsHub::when(true);
         if !hub.is_enabled() {

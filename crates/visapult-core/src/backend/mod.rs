@@ -150,17 +150,14 @@ fn send_frame(
 }
 
 /// Run one PE in serial (load, then render, then send, per frame).
-///
-/// `r` is the PE's *global* rank (what names its slab and its payloads);
-/// `rank` only paces the partition it runs in via the per-frame barrier.
 fn run_pe_serial(
     config: &PipelineConfig,
     source: &Arc<dyn DataSource>,
-    r: usize,
     rank: &Rank<()>,
     link: &StripeSender,
     log: Option<&NetLogger>,
 ) -> Result<PeReport, VisapultError> {
+    let r = rank.rank();
     let mut bytes_loaded = 0u64;
     let mut wire_bytes = 0u64;
     for frame in 0..config.timesteps {
@@ -200,16 +197,14 @@ fn run_pe_serial(
 }
 
 /// Run one PE with overlapped loading and rendering (Appendix B).
-///
-/// `r` is the PE's *global* rank; `rank` only paces its partition.
 fn run_pe_overlapped(
     config: &PipelineConfig,
     source: &Arc<dyn DataSource>,
-    r: usize,
     rank: &Rank<()>,
     link: &StripeSender,
     log: Option<&NetLogger>,
 ) -> Result<PeReport, VisapultError> {
+    let r = rank.rank();
     let pes = config.pes;
     let reader_source = Arc::clone(source);
     let reader_log = log.cloned();
@@ -312,51 +307,23 @@ pub fn run_backend(
         )));
     }
     let start = Instant::now();
-    let per_pe = run_backend_partition(config, &source, &viewer_links, logger.as_ref(), 0)?;
+    let results: Vec<Result<PeReport, VisapultError>> = World::run::<(), _, _>(config.pes, |rank| {
+        let r = rank.rank();
+        let pe_log = logger
+            .as_ref()
+            .map(|l| l.for_program(format!("backend-worker-{r}")).for_host(format!("pe-{r}")));
+        let link = &viewer_links[r];
+        match config.mode {
+            ExecutionMode::Serial => run_pe_serial(config, &source, &rank, link, pe_log.as_ref()),
+            ExecutionMode::Overlapped => run_pe_overlapped(config, &source, &rank, link, pe_log.as_ref()),
+        }
+    });
+    let per_pe = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     Ok(BackendReport {
         frames_rendered: config.timesteps,
         per_pe,
         elapsed: start.elapsed(),
     })
-}
-
-/// Run one contiguous slice of the back end's PEs: global ranks
-/// `first_rank .. first_rank + viewer_links.len()`, one OS thread per rank,
-/// barriering only within the slice.
-///
-/// This is the unit [`crate::pipeline::MultiBackendFarm`] schedules: each
-/// backend runs its own partition against the shared data source, and frame
-/// content stays a pure function of `(config, global rank, frame)` — the
-/// partitioning never changes what any PE renders, only who paces whom.
-pub fn run_backend_partition(
-    config: &PipelineConfig,
-    source: &Arc<dyn DataSource>,
-    viewer_links: &[StripeSender],
-    logger: Option<&NetLogger>,
-    first_rank: usize,
-) -> Result<Vec<PeReport>, VisapultError> {
-    if first_rank + viewer_links.len() > config.pes {
-        return Err(VisapultError::Config(format!(
-            "backend partition {}..{} overruns {} PEs",
-            first_rank,
-            first_rank + viewer_links.len(),
-            config.pes
-        )));
-    }
-    let results: Vec<Result<PeReport, VisapultError>> = World::run::<(), _, _>(viewer_links.len(), |rank| {
-        let r = first_rank + rank.rank();
-        let pe_log = logger.map(|l| l.for_program(format!("backend-worker-{r}")).for_host(format!("pe-{r}")));
-        let link = &viewer_links[rank.rank()];
-        match config.mode {
-            ExecutionMode::Serial => run_pe_serial(config, source, r, &rank, link, pe_log.as_ref()),
-            ExecutionMode::Overlapped => run_pe_overlapped(config, source, r, &rank, link, pe_log.as_ref()),
-        }
-    });
-    let mut per_pe = Vec::with_capacity(results.len());
-    for r in results {
-        per_pe.push(r?);
-    }
-    Ok(per_pe)
 }
 
 #[cfg(test)]

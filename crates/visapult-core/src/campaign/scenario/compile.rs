@@ -17,7 +17,7 @@ use crate::campaign::sim::{SimCampaignConfig, SimTransportModel, DEFAULT_WAN_EFF
 use crate::config::{ExecutionMode, PipelineConfig};
 use crate::error::VisapultError;
 use crate::pipeline::Pipeline;
-use crate::service::{shard_overprovision, BackendPlacement, QualityTier, ServiceConfig, SessionSpec};
+use crate::service::{shard_overprovision, QualityTier, ServiceConfig, SessionSpec};
 use crate::transport::{TcpTuning, TransportConfig};
 use dpss::{CacheConfig, DatasetDescriptor, DpssSimModel};
 use netsim::{TcpModel, TestbedKind};
@@ -188,20 +188,6 @@ impl ScenarioSpec {
             }
         };
 
-        // The render-farm shape: how many independent back-end partitions the
-        // real path runs, and how shared renders are placed across them.
-        let farm_backends = self.farm.as_ref().and_then(|f| f.backends).unwrap_or(1);
-        if farm_backends == 0 {
-            return Err(bad("farm backends must be positive".to_string()));
-        }
-        if farm_backends > self.pipeline.pes {
-            return Err(bad(format!(
-                "farm backends ({farm_backends}) cannot exceed pes ({})",
-                self.pipeline.pes
-            )));
-        }
-        let farm_placement = self.farm.as_ref().and_then(|f| f.placement).unwrap_or_default();
-
         // The service layer: broker capacity plus per-stage session
         // schedules, with every session's last-mile pacing derived from the
         // testbed's viewer route under that session's own TCP stack.
@@ -242,8 +228,6 @@ impl ScenarioSpec {
                     queue_depth,
                     farm_egress_mbps: Some(farm_egress),
                     shards: svc.shards,
-                    backends: self.farm.as_ref().and_then(|f| f.backends),
-                    placement: self.farm.as_ref().and_then(|f| f.placement),
                 };
                 let mut by_stage: Vec<Vec<SessionSpec>> = vec![Vec::new(); stages.len()];
                 for (ai, arrival) in svc.arrivals.as_deref().unwrap_or_default().iter().enumerate() {
@@ -363,8 +347,6 @@ impl ScenarioSpec {
             transport_emulate_wan: tspec.emulate_wan.unwrap_or(false),
             cache,
             service,
-            farm_backends,
-            farm_placement,
             telemetry,
         })
     }
@@ -473,10 +455,6 @@ pub struct ResolvedScenario {
     pub cache: Option<CacheConfig>,
     /// Multi-session service layer (None = classic single-viewer wiring).
     pub service: Option<ResolvedService>,
-    /// Render-farm partition count for the real path (1 = one shared farm).
-    pub farm_backends: usize,
-    /// How shared renders are placed across farm backends.
-    pub farm_placement: BackendPlacement,
     /// Metrics-plane knobs (enabled with full lifeline emission by default).
     pub telemetry: ResolvedTelemetry,
 }

@@ -8,7 +8,7 @@
 use crate::config::ExecutionMode;
 use crate::error::VisapultError;
 use crate::platform::ComputePlatform;
-use crate::service::{BackendPlacement, QualityTier};
+use crate::service::QualityTier;
 use crate::transport::TcpTuning;
 use netsim::{Testbed, TestbedKind};
 use serde::{Deserialize, Serialize};
@@ -223,24 +223,6 @@ pub struct ServiceTableSpec {
     pub arrivals: Option<Vec<SessionArrivalSpec>>,
 }
 
-/// `[farm]` — the render-farm shape: how many backends the farm runs and how
-/// viewpoints place onto them.  Present with `backends > 1`, the real path
-/// renders PE slices on independent backends ([`MultiBackendFarm`]) and the
-/// service broker charges each viewpoint against its owning backend's share
-/// of the render slots; the virtual-time path replays the identical
-/// placement-aware admission.
-///
-/// [`MultiBackendFarm`]: crate::pipeline::MultiBackendFarm
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FarmTableSpec {
-    /// Render backends (defaults to 1 — the classic single-backend farm).
-    pub backends: Option<usize>,
-    /// Viewpoint-to-backend placement when `backends > 1`:
-    /// `"viewpoint_hash"` (static partition, the default) or
-    /// `"least_loaded"` (pooled work-conserving packing).
-    pub placement: Option<BackendPlacement>,
-}
-
 /// `[[service.arrivals]]` — one wave of sessions arriving during one stage.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionArrivalSpec {
@@ -339,8 +321,6 @@ pub struct ScenarioSpec {
     /// Multi-session service layer (optional; omitted means the classic
     /// single-viewer pipeline).
     pub service: Option<ServiceTableSpec>,
-    /// Render-farm shape (optional; omitted means one backend).
-    pub farm: Option<FarmTableSpec>,
     /// Staged workload mix (optional; one full-budget stage by default).
     pub stages: Option<Vec<StageSpec>>,
     /// Metrics plane (optional; omitted means enabled with full lifeline
@@ -457,7 +437,6 @@ impl ScenarioSpec {
             transport: None,
             cache: None,
             service: None,
-            farm: None,
             stages: if stages.is_empty() { None } else { Some(stages) },
             telemetry: None,
         }

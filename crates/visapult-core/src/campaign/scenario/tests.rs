@@ -5,7 +5,7 @@ use super::*;
 use crate::campaign::sim::SimTransportModel;
 use crate::config::ExecutionMode;
 use crate::error::VisapultError;
-use crate::service::{BackendPlacement, QualityTier};
+use crate::service::QualityTier;
 use crate::transport::TcpTuning;
 use dpss::CacheStats;
 use netlogger::tags;
@@ -37,7 +37,6 @@ fn minimal_spec(path: ExecutionPath) -> ScenarioSpec {
         transport: None,
         cache: None,
         service: None,
-        farm: None,
         stages: None,
         telemetry: None,
     }
@@ -693,7 +692,7 @@ fn invalid_service_specs_are_rejected() {
 }
 
 #[test]
-fn invalid_shard_and_farm_shapes_are_rejected() {
+fn invalid_shard_counts_are_rejected() {
     let err = |spec: &ScenarioSpec| spec.resolve().unwrap_err().to_string();
     // Zero shards.
     let mut spec = service_spec(ExecutionPath::VirtualTime);
@@ -703,30 +702,11 @@ fn invalid_shard_and_farm_shapes_are_rejected() {
     let mut spec = service_spec(ExecutionPath::VirtualTime);
     spec.service.as_mut().unwrap().shards = Some(9);
     assert!(err(&spec).contains("cannot exceed max_sessions"), "{}", err(&spec));
-    // Zero backends.
-    let mut spec = minimal_spec(ExecutionPath::VirtualTime);
-    spec.farm = Some(FarmTableSpec {
-        backends: Some(0),
-        placement: None,
-    });
-    assert!(err(&spec).contains("farm backends must be positive"), "{}", err(&spec));
-    // More backends than PEs: a backend would own no render partition.
-    let mut spec = minimal_spec(ExecutionPath::VirtualTime);
-    spec.farm = Some(FarmTableSpec {
-        backends: Some(3),
-        placement: None,
-    });
-    assert!(err(&spec).contains("cannot exceed pes"), "{}", err(&spec));
-    // The boundary cases resolve: shards == max_sessions, backends == pes.
+    // The boundary case resolves: shards == max_sessions.
     let mut spec = service_spec(ExecutionPath::VirtualTime);
     spec.service.as_mut().unwrap().shards = Some(8);
-    spec.farm = Some(FarmTableSpec {
-        backends: Some(2),
-        placement: Some(BackendPlacement::LeastLoaded),
-    });
     let resolved = spec.resolve().unwrap();
-    assert_eq!(resolved.farm_backends, 2);
-    assert_eq!(resolved.farm_placement, BackendPlacement::LeastLoaded);
+    assert_eq!(resolved.service.unwrap().config.shard_count(), 8);
 }
 
 #[test]
@@ -809,65 +789,21 @@ fn overprovisioned_shards_warn_without_failing() {
 }
 
 #[test]
-fn a_partitioned_real_farm_renders_the_same_pixels_as_the_single_farm() {
-    // Frame content is a pure function of (config, global rank, frame), so
-    // splitting the PE ranks across backends must not move a single pixel
-    // or counter — only the pacing (and the fingerprinted farm shape).
-    let one = run_scenario(&minimal_spec(ExecutionPath::Real)).unwrap();
-    let mut spec = minimal_spec(ExecutionPath::Real);
-    spec.farm = Some(FarmTableSpec {
-        backends: Some(2),
-        placement: None,
-    });
-    let two = run_scenario(&spec).unwrap();
-    assert_eq!(one.frames_received(), two.frames_received());
-    assert_eq!(one.stages.len(), two.stages.len());
-    for (a, b) in one.stages.iter().zip(&two.stages) {
-        assert_ne!(a.metrics.image_hash, 0, "the real path rendered");
-        assert_eq!(a.metrics.image_hash, b.metrics.image_hash, "stage {}", a.name);
-        assert_eq!(a.metrics.frames_received, b.metrics.frames_received);
-        assert_eq!(a.metrics.bytes_loaded, b.metrics.bytes_loaded);
-    }
-    // Same per-PE backend log coverage from the partitioned farm.
-    assert_eq!(
-        one.log.with_tag(tags::BE_LOAD_END).count(),
-        two.log.with_tag(tags::BE_LOAD_END).count()
-    );
-}
-
-#[test]
-fn engaged_shard_and_backend_knobs_are_replay_identity() {
+fn an_engaged_shard_knob_is_replay_identity() {
     let fp = |spec: &ScenarioSpec| run_scenario(spec).unwrap().replay_fingerprint();
     let base = service_spec(ExecutionPath::VirtualTime);
     let base_fp = fp(&base);
 
-    // An explicit single shard / single backend is the default spelled out:
-    // the legacy fingerprint must not move.
+    // An explicit single shard is the default spelled out: the legacy
+    // fingerprint must not move.
     let mut explicit = base.clone();
     explicit.service.as_mut().unwrap().shards = Some(1);
-    explicit.farm = Some(FarmTableSpec {
-        backends: Some(1),
-        placement: None,
-    });
-    assert_eq!(base_fp, fp(&explicit), "shards=1/backends=1 must stay byte-identical");
+    assert_eq!(base_fp, fp(&explicit), "shards=1 must stay byte-identical");
 
-    // Engaging either knob partitions capacity, so it is replay identity.
+    // Engaging the knob partitions capacity, so it is replay identity.
     let mut sharded = base.clone();
     sharded.service.as_mut().unwrap().shards = Some(2);
     assert_ne!(base_fp, fp(&sharded), "fingerprint misses the shards knob");
-
-    let mut farmed = base.clone();
-    farmed.farm = Some(FarmTableSpec {
-        backends: Some(2),
-        placement: None,
-    });
-    let farmed_fp = fp(&farmed);
-    assert_ne!(base_fp, farmed_fp, "fingerprint misses the backends knob");
-
-    // Placement only matters once backends > 1 — and then it matters.
-    let mut packed = farmed.clone();
-    packed.farm.as_mut().unwrap().placement = Some(BackendPlacement::LeastLoaded);
-    assert_ne!(farmed_fp, fp(&packed), "fingerprint misses the placement knob");
 }
 
 fn service_spec(path: ExecutionPath) -> ScenarioSpec {
@@ -972,7 +908,8 @@ fn fingerprint_covers_service_config_and_lifecycle() {
 #[test]
 fn service_workers_knob_parses_and_validates() {
     // `plane = "async"` is a leftover from when the real path had two
-    // planes: it is ignored like any other unknown key.
+    // planes, and `[farm]` one from when it had two render farms: both are
+    // ignored like any other unknown key.
     let doc = r#"
 [scenario]
 name = "svc-workers"
@@ -992,6 +929,10 @@ max_sessions = 4
 plane = "async"
 workers = 3
 
+[farm]
+backends = 2
+placement = "viewpoint_hash"
+
 [[stages]]
 name = "full"
 share = 100.0
@@ -1006,6 +947,7 @@ share = 100.0
         .expect("service plan");
     assert_eq!(plan.workers, Some(3));
     assert!(!spec.to_toml_string().unwrap().contains("plane ="));
+    assert!(!spec.to_toml_string().unwrap().contains("[farm]"));
     // A zero pool is a config error.
     let mut zero = spec.clone();
     zero.service.as_mut().unwrap().workers = Some(0);

@@ -55,9 +55,9 @@ pub(crate) mod test_support;
 pub use baseline::{StrategyBandwidth, VisualizationStrategy};
 pub use campaign::real::{RealCampaignConfig, RealDataPath, RealDpssEnv, ServicePlan};
 pub use campaign::scenario::{
-    run_scenario, CacheReport, CacheSpec, CampaignReport, ExecutionPath, FarmTableSpec, PlatformSpec,
-    ResolvedTelemetry, ScenarioSpec, ServiceReport, ServiceTableSpec, SessionArrivalSpec, StageReport, StageSpec,
-    TelemetryReport, TelemetrySpec, TransportReport, TransportSpec,
+    run_scenario, CacheReport, CacheSpec, CampaignReport, ExecutionPath, PlatformSpec, ResolvedTelemetry, ScenarioSpec,
+    ServiceReport, ServiceTableSpec, SessionArrivalSpec, StageReport, StageSpec, TelemetryReport, TelemetrySpec,
+    TransportReport, TransportSpec,
 };
 pub use campaign::sim::{SimCampaignConfig, SimCampaignReport, SimTransportModel};
 pub use config::{ExecutionMode, PipelineConfig};
@@ -65,15 +65,15 @@ pub use data_source::{DataSource, DpssDataSource, SyntheticSource};
 pub use error::VisapultError;
 pub use model::OverlapModel;
 pub use pipeline::{
-    Clock, Fabric, FabricLinks, FanoutPlane, FarmRun, ModelFarm, ModeledFabric, MultiBackendFarm, PathCapabilities,
-    PhaseMeans, Pipeline, PipelineBuilder, PlaneSession, RenderFarm, ReplayPlane, ServicePlane, StageArtifacts,
-    StageContext, StripedFabric, ThreadFarm, VirtualClock, WallClock,
+    Clock, Fabric, FabricLinks, FanoutPlane, FarmRun, ModelFarm, ModeledFabric, PathCapabilities, PhaseMeans, Pipeline,
+    PipelineBuilder, PlaneSession, RenderFarm, ReplayPlane, ServicePlane, StageArtifacts, StageContext, StripedFabric,
+    ThreadFarm, VirtualClock, WallClock,
 };
 pub use platform::ComputePlatform;
 pub use protocol::{FramePayload, FrameSegments, HeavyPayload, LightPayload};
 pub use service::{
-    log_service_telemetry, BackendPlacement, QualityTier, RejectReason, ServiceConfig, ServiceRunReport, ServiceStats,
-    SessionBroker, SessionDelivery, SessionEvent, SessionSpec, ShardLockStats, ShardedBroker,
+    log_service_telemetry, QualityTier, RejectReason, ServiceConfig, ServiceRunReport, ServiceStats, SessionBroker,
+    SessionDelivery, SessionEvent, SessionSpec, ShardLockStats, ShardedBroker,
 };
 pub use transport::{
     drain_frames, plan_chunks, striped_link, FrameAssembler, FrameChunk, StripeReceiver, StripeSender, TcpTuning,

@@ -52,7 +52,7 @@ mod plane;
 
 pub use clock::{Clock, VirtualClock, WallClock};
 pub use fabric::{Fabric, FabricLinks, ModeledFabric, StripedFabric};
-pub use farm::{ModelFarm, MultiBackendFarm, RenderFarm, ThreadFarm};
+pub use farm::{ModelFarm, RenderFarm, ThreadFarm};
 pub use plane::{FanoutPlane, PlaneSession, ReplayPlane, ServicePlane};
 
 use crate::backend::BackendReport;
@@ -681,18 +681,10 @@ impl PipelineBuilder {
         }
         let resolved = self.spec.resolve()?;
         let defaults = PathCapabilities::for_path(resolved.path);
-        // A `[farm] backends > 1` spec partitions the real farm unless the
-        // caller swapped in their own; the virtual path models one farm.
-        let default_farm = if self.farm.is_none() && resolved.path == ExecutionPath::Real && resolved.farm_backends > 1
-        {
-            Box::new(MultiBackendFarm::new(resolved.farm_backends, resolved.farm_placement)) as Box<dyn RenderFarm>
-        } else {
-            defaults.farm
-        };
         let caps = PathCapabilities {
             clock: self.clock.unwrap_or(defaults.clock),
             fabric: self.fabric.unwrap_or(defaults.fabric),
-            farm: self.farm.unwrap_or(default_farm),
+            farm: self.farm.unwrap_or(defaults.farm),
             plane: self.plane.unwrap_or(defaults.plane),
         };
         Ok(Pipeline { resolved, caps })

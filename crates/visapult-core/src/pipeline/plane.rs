@@ -16,7 +16,7 @@ use crate::error::VisapultError;
 use crate::service::asyncplane::drive_plane;
 use crate::service::fanout::PlaneTelemetry;
 use crate::service::{
-    log_service_stats_sampled, log_service_telemetry, log_shard_overprovision, shard_overprovision, ServiceRunReport,
+    log_service_stats, log_service_telemetry, log_shard_overprovision, shard_overprovision, ServiceRunReport,
     ShardedBroker,
 };
 use crate::transport::{plan_chunks, striped_link, StripeReceiver, StripeSender, TransportConfig};
@@ -192,7 +192,7 @@ impl PlaneSession for FanoutSession {
         // deterministically by session id, so both paths keep (or drop)
         // exactly the same lifelines; the aggregate SERVICE_STATS summary is
         // never sampled.
-        log_service_stats_sampled(&logger, None, &report.stats, &report.events, ctx.telemetry.sample_every);
+        log_service_stats(&logger, None, &report.stats, &report.events, ctx.telemetry.sample_every);
         if ctx.telemetry.enable {
             let shard_count = ctx.service.as_ref().map(|plan| plan.config.shard_count()).unwrap_or(1);
             log_service_telemetry(&logger, None, shard_count, &report.shard_locks);
@@ -259,7 +259,7 @@ impl PlaneSession for ReplaySession {
         let logger = collector.logger("service", "session-broker");
         // The identical deterministic sampling as the real path: the same
         // session ids keep their lifelines, so NLV overlays line up.
-        log_service_stats_sampled(
+        log_service_stats(
             &logger,
             Some(run.total_time),
             &stats,

@@ -179,61 +179,83 @@ pub fn decode_light(msg: &[u8]) -> Result<LightPayload, VisapultError> {
 }
 
 /// Decode a heavy payload from a full message (header included), copying the
-/// texture out of the message buffer.  When the message already lives in a
-/// shared [`Bytes`] buffer, prefer [`decode_heavy_shared`], which slices the
-/// texture zero-copy instead.
+/// message out of `msg`.  The checks are the heavy half of
+/// [`FrameSegments::decode`]'s: one validation path for every heavy payload.
 pub fn decode_heavy(msg: &[u8]) -> Result<HeavyPayload, VisapultError> {
-    decode_heavy_inner(msg, |start, len| Bytes::from(msg[start..start + len].to_vec()))
+    let (header, texture, geometry) = split_heavy(Bytes::from(msg.to_vec()))?;
+    decode_heavy_segments(&header, texture, &geometry)
 }
 
-/// Decode a heavy payload from a shared message buffer.  The returned
-/// payload's texture is an O(1) slice of `msg` — the raw pixel data read off
-/// the socket is never copied again.
-pub fn decode_heavy_shared(msg: &Bytes) -> Result<HeavyPayload, VisapultError> {
-    decode_heavy_inner(msg, |start, len| msg.slice(start..start + len))
+/// Slice a heavy message zero-copy into its header, texture and geometry
+/// segments (the [`FrameSegments`] layout), bounds-checking every cut against
+/// the message.  Bytes past the header's body length are not part of it.
+fn split_heavy(msg: Bytes) -> Result<(Bytes, Bytes, Bytes), VisapultError> {
+    if msg.len() < HEAVY_HEADER_LEN {
+        return Err(VisapultError::Protocol("heavy payload truncated".to_string()));
+    }
+    // The body length follows magic + type; the texture length closes the
+    // header, after frame and rank.
+    let msg_end = 9 + (&msg[5..9]).get_u32() as usize;
+    let tex_end = HEAVY_HEADER_LEN + (&msg[17..HEAVY_HEADER_LEN]).get_u32() as usize;
+    if msg.len() < msg_end || tex_end > msg_end {
+        return Err(VisapultError::Protocol("heavy payload texture truncated".to_string()));
+    }
+    Ok((
+        msg.slice(..HEAVY_HEADER_LEN),
+        msg.slice(HEAVY_HEADER_LEN..tex_end),
+        msg.slice(tex_end..msg_end),
+    ))
 }
 
-fn decode_heavy_inner(msg: &[u8], texture: impl FnOnce(usize, usize) -> Bytes) -> Result<HeavyPayload, VisapultError> {
-    let (msg_type, mut body) = split_message(msg)?;
+/// Decode a heavy payload from its three wire segments, validating every
+/// length.  The texture passes through as-is.
+fn decode_heavy_segments(header: &[u8], texture: Bytes, geometry: &[u8]) -> Result<HeavyPayload, VisapultError> {
+    let mut h = header;
+    if h.remaining() < HEAVY_HEADER_LEN {
+        return Err(VisapultError::Protocol("heavy header truncated".to_string()));
+    }
+    let magic = h.get_u32();
+    if magic != MAGIC {
+        return Err(VisapultError::Protocol(format!("bad magic {magic:#x}")));
+    }
+    let msg_type = h.get_u8();
     if msg_type != TYPE_HEAVY {
         return Err(VisapultError::Protocol(format!(
             "expected heavy payload, got type {msg_type}"
         )));
     }
-    if body.remaining() < 12 {
-        return Err(VisapultError::Protocol("heavy payload truncated".to_string()));
+    let body_len = h.get_u32() as usize;
+    let frame = h.get_u32();
+    let rank = h.get_u32();
+    let tex_len = h.get_u32() as usize;
+    if tex_len != texture.len() {
+        return Err(VisapultError::Protocol(format!(
+            "texture segment is {} bytes but the header says {tex_len}",
+            texture.len()
+        )));
     }
-    let frame = body.get_u32();
-    let rank = body.get_u32();
-    let tex_len = body.get_u32() as usize;
-    if body.remaining() < tex_len {
-        return Err(VisapultError::Protocol("heavy payload texture truncated".to_string()));
+    if body_len != 12 + tex_len + geometry.len() {
+        return Err(VisapultError::Protocol("heavy body length mismatch".to_string()));
     }
-    // Hand the extractor the texture's absolute position in `msg` (derived
-    // from how far the body cursor has advanced, so there is exactly one
-    // source of truth for the layout) and a shared message buffer can be
-    // sliced in place.
-    let tex_start = body.as_ptr() as usize - msg.as_ptr() as usize;
-    let texture_rgba8 = texture(tex_start, tex_len);
-    let mut body = &body[tex_len..];
-    if body.remaining() < 4 {
+    let mut g = geometry;
+    if g.remaining() < 4 {
         return Err(VisapultError::Protocol(
             "heavy payload geometry count missing".to_string(),
         ));
     }
-    let seg_count = body.get_u32() as usize;
-    if seg_count.checked_mul(24).is_none_or(|len| body.remaining() < len) {
+    let seg_count = g.get_u32() as usize;
+    if seg_count.checked_mul(24) != Some(g.remaining()) {
         return Err(VisapultError::Protocol("heavy payload geometry truncated".to_string()));
     }
-    let mut geometry = Vec::with_capacity(seg_count);
+    let mut segments = Vec::with_capacity(seg_count);
     for _ in 0..seg_count {
-        geometry.push((get_vec3(&mut body), get_vec3(&mut body)));
+        segments.push((get_vec3(&mut g), get_vec3(&mut g)));
     }
     Ok(HeavyPayload {
         frame,
         rank,
-        texture_rgba8,
-        geometry: Arc::new(geometry),
+        texture_rgba8: texture,
+        geometry: Arc::new(segments),
     })
 }
 
@@ -342,74 +364,28 @@ impl FrameSegments {
     /// sender's buffers this is a fully zero-copy decode.
     pub fn decode(self) -> Result<FramePayload, VisapultError> {
         let light = decode_light(&self.light)?;
-        let mut h: &[u8] = &self.heavy_header;
-        if h.remaining() < HEAVY_HEADER_LEN {
-            return Err(VisapultError::Protocol("heavy header truncated".to_string()));
-        }
-        let magic = h.get_u32();
-        if magic != MAGIC {
-            return Err(VisapultError::Protocol(format!("bad magic {magic:#x}")));
-        }
-        let msg_type = h.get_u8();
-        if msg_type != TYPE_HEAVY {
+        let heavy = decode_heavy_segments(&self.heavy_header, self.texture, &self.geometry)?;
+        if heavy.frame != light.frame || heavy.rank != light.rank {
             return Err(VisapultError::Protocol(format!(
-                "expected heavy payload, got type {msg_type}"
+                "light ({}, {}) and heavy ({}, {}) payloads disagree on identity",
+                light.frame, light.rank, heavy.frame, heavy.rank
             )));
         }
-        let body_len = h.get_u32() as usize;
-        let frame = h.get_u32();
-        let rank = h.get_u32();
-        let tex_len = h.get_u32() as usize;
-        if tex_len != self.texture.len() {
-            return Err(VisapultError::Protocol(format!(
-                "texture segment is {} bytes but the header says {tex_len}",
-                self.texture.len()
-            )));
-        }
-        if body_len != 12 + tex_len + self.geometry.len() {
-            return Err(VisapultError::Protocol("heavy body length mismatch".to_string()));
-        }
-        if frame != light.frame || rank != light.rank {
-            return Err(VisapultError::Protocol(format!(
-                "light ({}, {}) and heavy ({frame}, {rank}) payloads disagree on identity",
-                light.frame, light.rank
-            )));
-        }
+        let tex_len = heavy.texture_rgba8.len();
         if tex_len != light.texture_width as usize * light.texture_height as usize * light.bytes_per_pixel as usize {
             return Err(VisapultError::Protocol(format!(
                 "texture is {tex_len} bytes but the metadata promises {}x{}x{}",
                 light.texture_width, light.texture_height, light.bytes_per_pixel
             )));
         }
-        let mut g: &[u8] = &self.geometry;
-        if g.remaining() < 4 {
-            return Err(VisapultError::Protocol(
-                "heavy payload geometry count missing".to_string(),
-            ));
-        }
-        let seg_count = g.get_u32() as usize;
-        if seg_count.checked_mul(24) != Some(g.remaining()) {
-            return Err(VisapultError::Protocol("heavy payload geometry truncated".to_string()));
-        }
-        if seg_count != light.geometry_segments as usize {
+        if heavy.geometry.len() != light.geometry_segments as usize {
             return Err(VisapultError::Protocol(format!(
-                "geometry has {seg_count} segments but the metadata promises {}",
+                "geometry has {} segments but the metadata promises {}",
+                heavy.geometry.len(),
                 light.geometry_segments
             )));
         }
-        let mut geometry = Vec::with_capacity(seg_count);
-        for _ in 0..seg_count {
-            geometry.push((get_vec3(&mut g), get_vec3(&mut g)));
-        }
-        Ok(FramePayload {
-            heavy: HeavyPayload {
-                frame,
-                rank,
-                texture_rgba8: self.texture,
-                geometry: Arc::new(geometry),
-            },
-            light,
-        })
+        Ok(FramePayload { light, heavy })
     }
 }
 
@@ -443,14 +419,20 @@ fn read_message<R: Read>(r: &mut R) -> Result<Bytes, VisapultError> {
     Ok(Bytes::from(msg))
 }
 
-/// Read one frame (light then heavy) from a byte stream.  The heavy texture
-/// is decoded as a zero-copy slice of the received message buffer.
+/// Read one frame (light then heavy) from a byte stream.  The heavy message
+/// is sliced zero-copy into its wire segments and decoded by
+/// [`FrameSegments::decode`], so a stream frame passes exactly the checks a
+/// striped-transport frame does.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<FramePayload, VisapultError> {
-    let light_msg = read_message(r)?;
-    let light = decode_light(&light_msg)?;
-    let heavy_msg = read_message(r)?;
-    let heavy = decode_heavy_shared(&heavy_msg)?;
-    Ok(FramePayload { light, heavy })
+    let light = read_message(r)?;
+    let (heavy_header, texture, geometry) = split_heavy(read_message(r)?)?;
+    FrameSegments {
+        light,
+        heavy_header,
+        texture,
+        geometry,
+    }
+    .decode()
 }
 
 #[cfg(test)]
@@ -499,21 +481,18 @@ mod tests {
     }
 
     #[test]
-    fn shared_decode_slices_the_texture_zero_copy() {
+    fn read_frame_slices_the_texture_zero_copy() {
         let f = sample_frame();
-        let msg = Bytes::from(encode_heavy(&f.heavy));
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &f).unwrap();
         let before = bytes::deep_copy_count();
-        let dec = decode_heavy_shared(&msg).unwrap();
-        assert_eq!(dec, f.heavy);
+        let back = read_frame(&mut std::io::Cursor::new(wire)).unwrap();
+        assert_eq!(back, f);
         assert_eq!(
             bytes::deep_copy_count(),
             before,
-            "shared decode must not copy the texture"
+            "a stream read must not copy the texture"
         );
-        // The decoded texture literally is a window into the message buffer.
-        assert!(dec.texture_rgba8.ptr_eq(&msg.slice(21..21 + dec.texture_rgba8.len())));
-        // Truncation errors still apply.
-        assert!(decode_heavy_shared(&msg.slice(..msg.len() - 10)).is_err());
     }
 
     #[test]
@@ -610,6 +589,49 @@ mod tests {
     }
 
     #[test]
+    fn read_frame_rejects_a_frame_the_segment_decoder_rejects() {
+        // Each inconsistency alone, then all three in one frame: light and
+        // heavy disagreeing on identity, a texture shorter than the metadata
+        // promises, and fewer geometry segments than promised.
+        let consistent = FramePayload {
+            light: LightPayload {
+                texture_width: 2,
+                texture_height: 2,
+                geometry_segments: 0,
+                ..sample_frame().light
+            },
+            heavy: HeavyPayload {
+                texture_rgba8: vec![9u8; 2 * 2 * 4].into(),
+                geometry: Arc::new(Vec::new()),
+                ..sample_frame().heavy
+            },
+        };
+        let mut identity = consistent.clone();
+        (identity.heavy.frame, identity.heavy.rank) = (8, 9);
+        let mut texture = consistent.clone();
+        texture.heavy.texture_rgba8 = vec![1u8, 2, 3].into();
+        let mut geometry = consistent.clone();
+        geometry.light.geometry_segments = 5;
+        let mut all = identity.clone();
+        all.heavy.texture_rgba8 = texture.heavy.texture_rgba8.clone();
+        all.light.geometry_segments = 5;
+        let read = |f: &FramePayload| {
+            let mut wire = Vec::new();
+            write_frame(&mut wire, f).unwrap();
+            read_frame(&mut std::io::Cursor::new(wire))
+        };
+        assert_eq!(read(&consistent).unwrap(), consistent);
+        for bad in [&identity, &texture, &geometry, &all] {
+            let result = read(bad);
+            assert!(matches!(result, Err(VisapultError::Protocol(_))), "{result:?}");
+            assert!(
+                FrameSegments::encode(bad).decode().is_err(),
+                "the segment decoder agrees"
+            );
+        }
+    }
+
+    #[test]
     fn a_length_claim_past_the_stream_end_is_a_typed_error() {
         // A header claiming u32::MAX body bytes, then five: the read must
         // fail as a protocol error after buffering what arrived, not size a
@@ -638,10 +660,6 @@ mod tests {
         body.put_slice(&[0; 8]);
         let msg = frame_message(TYPE_HEAVY, &body);
         assert!(matches!(decode_heavy(&msg), Err(VisapultError::Protocol(_))));
-        assert!(matches!(
-            decode_heavy_shared(&Bytes::from(msg)),
-            Err(VisapultError::Protocol(_))
-        ));
         // The segment decoder's geometry check, on the same count (with the
         // heavy header's body length patched to match, so the count is what
         // gets judged).

@@ -8,7 +8,6 @@
 
 /// Every name re-exported at the `visapult_core` crate root, sorted.
 const EXPECTED: &[&str] = &[
-    "BackendPlacement",
     "CacheReport",
     "CacheSpec",
     "CampaignReport",
@@ -22,7 +21,6 @@ const EXPECTED: &[&str] = &[
     "FabricLinks",
     "FanoutPlane",
     "FarmRun",
-    "FarmTableSpec",
     "FrameAssembler",
     "FrameChunk",
     "FramePayload",
@@ -31,7 +29,6 @@ const EXPECTED: &[&str] = &[
     "LightPayload",
     "ModelFarm",
     "ModeledFabric",
-    "MultiBackendFarm",
     "OverlapModel",
     "PathCapabilities",
     "PhaseMeans",
