@@ -24,6 +24,7 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+use visapult_bench::report_baseline;
 use visapult_core::protocol::{FramePayload, HeavyPayload, LightPayload};
 use visapult_core::transport::{striped_link, TransportConfig};
 use visapult_core::{
@@ -397,18 +398,6 @@ fn persist_snapshots(snapshots: &[MetricsSnapshot]) {
     match wrote {
         Ok(()) => println!("wrote telemetry snapshots {}", path.display()),
         Err(e) => eprintln!("telemetry snapshots not written: {e}"),
-    }
-}
-
-fn report_baseline(name: &str, json: &str) {
-    let written = visapult_bench::persist_baseline(name, json);
-    if written.is_empty() {
-        println!("\nbaseline (nowhere writable):\n{json}");
-    } else {
-        for path in &written {
-            println!("\nwrote baseline {}", path.display());
-        }
-        println!("{json}");
     }
 }
 

@@ -43,6 +43,12 @@ impl RgbaImage {
         &self.data
     }
 
+    /// Mutable raw pixel floats (RGBA interleaved, row-major), for
+    /// renderers that fill whole rows at a time.
+    pub(crate) fn data_mut(&mut self) -> &mut [f32] {
+        &mut self.data
+    }
+
     /// Size of the image when shipped over the wire as 8-bit RGBA.
     pub fn byte_len(&self) -> usize {
         self.width * self.height * 4

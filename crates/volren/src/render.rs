@@ -5,7 +5,11 @@
 //! * [`render_region`] — the axis-aligned orthographic ray caster each back
 //!   end PE runs over its slab of data.  Rays travel along a principal axis,
 //!   so sampling needs no interpolation and the result is exactly the 2-D
-//!   texture the IBRAVR viewer expects for that slab.
+//!   texture the IBRAVR viewer expects for that slab.  It is a row-batched,
+//!   column-deduplicated kernel: each distinct voxel column is cast once, and
+//!   one image row's columns march together plane by plane.  Its output is
+//!   bit-identical to casting every pixel on its own, which a differential
+//!   test against a retained per-pixel reference caster pins.
 //! * [`render_view`] — a general orthographic ray caster with trilinear
 //!   sampling for arbitrary view orientations.  It is far slower and is used
 //!   only as the ground truth against which IBRAVR artifacts are measured
@@ -74,6 +78,14 @@ fn finalize(acc: [f32; 4]) -> [f32; 4] {
     }
 }
 
+/// Image pixel `p` of `pixels` → the voxel index it samples along an image
+/// axis spanning `voxels` cells (nearest cell centre, clamped).
+#[inline]
+fn pixel_to_voxel(p: usize, pixels: usize, voxels: usize) -> usize {
+    let i = ((p as f32 + 0.5) / pixels as f32 * voxels as f32) as usize;
+    i.min(voxels - 1)
+}
+
 /// Render a (sub)volume along a principal axis.
 ///
 /// The image plane is spanned by the two axes perpendicular to `axis`, with
@@ -81,6 +93,22 @@ fn finalize(acc: [f32; 4]) -> [f32; 4] {
 /// are taken at voxel centres along the ray, front (low index) to back (high
 /// index), normalized against `value_range` so that slabs rendered separately
 /// by different PEs use a consistent classification.
+///
+/// Every pixel `(px, py)` is the ray through the voxel column `(u, v)` that
+/// its centre maps to, so pixels sharing a column share a ray.  The kernel
+/// casts each distinct column once: a pixel whose `u` equals its left
+/// neighbour's copies that finished value, and a row whose `v` equals the
+/// row above copies that row.  The distinct columns of one row march
+/// together, plane by plane, over a sample sequence computed once from the
+/// `t += spacing` recurrence; a per-row active list drops a column when it
+/// reaches `early_termination`.  Along Y and Z each plane's reads are
+/// X-contiguous.
+///
+/// Bit-exactness contract: every ray performs exactly the f32 operations, in
+/// exactly the order, of a per-pixel front-to-back march, so every output
+/// float is bit-identical to casting each pixel on its own (a test-only
+/// reference caster pins this).  Scratch memory is O(image width + samples
+/// per ray); nothing slab-sized is allocated.
 pub fn render_region(
     volume: &Volume,
     axis: Axis,
@@ -88,43 +116,89 @@ pub fn render_region(
     value_range: (f32, f32),
     settings: &RenderSettings,
 ) -> RgbaImage {
-    let dims = volume.dims();
-    let (ray_len, img_u, img_v): (usize, usize, usize) = match axis {
-        Axis::X => (dims.0, dims.1, dims.2),
-        Axis::Y => (dims.1, dims.0, dims.2),
-        Axis::Z => (dims.2, dims.0, dims.1),
+    let (nx, ny, nz) = volume.dims();
+    let plane = nx * ny;
+    // Ray length and image extents in voxels, and the data-index stride of
+    // one step along the ray, along image X (u) and along image Y (v).
+    let (ray_len, img_u, img_v, stride_s, stride_u, stride_v) = match axis {
+        Axis::X => (nx, ny, nz, 1, nx, plane),
+        Axis::Y => (ny, nx, nz, nx, 1, plane),
+        Axis::Z => (nz, nx, ny, plane, 1, nx),
     };
-    let mut image = RgbaImage::new(settings.image_width, settings.image_height);
+    let (width, height) = (settings.image_width, settings.image_height);
+    let mut image = RgbaImage::new(width, height);
     let span = (value_range.1 - value_range.0).max(1e-20);
     // Spacing ratio for opacity correction: a transfer function calibrated
     // for unit steps through the full volume.
     let spacing = settings.step.max(0.05);
 
-    for py in 0..settings.image_height {
-        // Map pixel to volume coordinate in the v (image Y) direction.
-        let v = ((py as f32 + 0.5) / settings.image_height as f32 * img_v as f32) as usize;
-        let v = v.min(img_v - 1);
-        for px in 0..settings.image_width {
-            let u = ((px as f32 + 0.5) / settings.image_width as f32 * img_u as f32) as usize;
-            let u = u.min(img_u - 1);
-            let mut acc = [0.0f32; 4];
-            let mut t = 0.0f32;
-            while (t as usize) < ray_len {
-                let s = t as usize;
-                let raw = match axis {
-                    Axis::X => volume.get(s, u, v),
-                    Axis::Y => volume.get(u, s, v),
-                    Axis::Z => volume.get(u, v, s),
-                };
+    // Data offsets of a ray's samples, from the recurrence every ray shares.
+    let mut sample_offsets = Vec::new();
+    let mut t = 0.0f32;
+    while (t as usize) < ray_len {
+        sample_offsets.push(t as usize * stride_s);
+        t += spacing;
+    }
+    // The distinct columns along image X; pixel `px` shows `column_of[px]`.
+    let mut column_offsets: Vec<usize> = Vec::new();
+    let mut column_of = Vec::with_capacity(width);
+    let mut last_u = None;
+    for px in 0..width {
+        let u = pixel_to_voxel(px, width, img_u);
+        if last_u != Some(u) {
+            column_offsets.push(u * stride_u);
+            last_u = Some(u);
+        }
+        column_of.push(column_offsets.len() - 1);
+    }
+
+    let data = volume.data();
+    let mut acc = vec![[0.0f32; 4]; column_offsets.len()];
+    let mut active: Vec<usize> = Vec::with_capacity(column_offsets.len());
+    let row_len = width * 4;
+    let pixels = image.data_mut();
+    let mut last_v = None;
+    for py in 0..height {
+        let v = pixel_to_voxel(py, height, img_v);
+        let (above, rest) = pixels.split_at_mut(py * row_len);
+        let row = &mut rest[..row_len];
+        if last_v == Some(v) {
+            row.copy_from_slice(&above[above.len() - row_len..]);
+            continue;
+        }
+        last_v = Some(v);
+
+        acc.fill([0.0; 4]);
+        active.clear();
+        active.extend(0..column_offsets.len());
+        let row_base = v * stride_v;
+        for &sample_offset in &sample_offsets {
+            let base = row_base + sample_offset;
+            let mut kept = 0;
+            for i in 0..active.len() {
+                let c = active[i];
+                let raw = data[base + column_offsets[c]];
                 let norm = (raw - value_range.0) / span;
                 let sample = transfer.evaluate_corrected(norm, spacing);
-                blend_front_to_back(&mut acc, sample);
-                if acc[3] >= settings.early_termination {
-                    break;
+                blend_front_to_back(&mut acc[c], sample);
+                // Negated `>=`, not `<`: a NaN opacity keeps marching, as it
+                // did in the per-pixel loop.
+                let terminated = acc[c][3] >= settings.early_termination;
+                if !terminated {
+                    active[kept] = c;
+                    kept += 1;
                 }
-                t += spacing;
             }
-            image.set(px, py, finalize(acc));
+            active.truncate(kept);
+            if active.is_empty() {
+                break;
+            }
+        }
+        for a in acc.iter_mut() {
+            *a = finalize(*a);
+        }
+        for (pixel, &c) in row.chunks_exact_mut(4).zip(&column_of) {
+            pixel.copy_from_slice(&acc[c]);
         }
     }
     image
@@ -261,6 +335,165 @@ pub fn render_cost_samples(region_cells: usize, settings: &RenderSettings) -> u6
 mod tests {
     use super::*;
     use crate::data::combustion_jet;
+    use proptest::prelude::*;
+
+    /// The retained per-pixel caster: the differential oracle for
+    /// [`render_region`] (test-only).  Every pixel maps to its voxel column
+    /// and marches its own ray, with no sharing between pixels, rows or
+    /// planes — written directly against the definition, so the kernel's
+    /// deduplication and row batching have nothing to hide behind.  It also
+    /// applies the opacity correction in its unconditional `powf` form, so
+    /// the unit-spacing shortcut in `evaluate_corrected` is checked too.
+    fn render_region_reference(
+        volume: &Volume,
+        axis: Axis,
+        transfer: &TransferFunction,
+        value_range: (f32, f32),
+        settings: &RenderSettings,
+    ) -> RgbaImage {
+        let dims = volume.dims();
+        let (ray_len, img_u, img_v): (usize, usize, usize) = match axis {
+            Axis::X => (dims.0, dims.1, dims.2),
+            Axis::Y => (dims.1, dims.0, dims.2),
+            Axis::Z => (dims.2, dims.0, dims.1),
+        };
+        let mut image = RgbaImage::new(settings.image_width, settings.image_height);
+        let span = (value_range.1 - value_range.0).max(1e-20);
+        let spacing = settings.step.max(0.05);
+
+        for py in 0..settings.image_height {
+            let v = ((py as f32 + 0.5) / settings.image_height as f32 * img_v as f32) as usize;
+            let v = v.min(img_v - 1);
+            for px in 0..settings.image_width {
+                let u = ((px as f32 + 0.5) / settings.image_width as f32 * img_u as f32) as usize;
+                let u = u.min(img_u - 1);
+                let mut acc = [0.0f32; 4];
+                let mut t = 0.0f32;
+                while (t as usize) < ray_len {
+                    let s = t as usize;
+                    let raw = match axis {
+                        Axis::X => volume.get(s, u, v),
+                        Axis::Y => volume.get(u, s, v),
+                        Axis::Z => volume.get(u, v, s),
+                    };
+                    let norm = (raw - value_range.0) / span;
+                    let [r, g, b, a] = transfer.evaluate(norm);
+                    let sample = [r, g, b, 1.0 - (1.0 - a).powf(spacing.max(0.0))];
+                    blend_front_to_back(&mut acc, sample);
+                    if acc[3] >= settings.early_termination {
+                        break;
+                    }
+                    t += spacing;
+                }
+                image.set(px, py, finalize(acc));
+            }
+        }
+        image
+    }
+
+    fn assert_bit_identical(got: &RgbaImage, want: &RgbaImage, case: &str) {
+        assert_eq!((got.width(), got.height()), (want.width(), want.height()), "{case}");
+        for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{case}: float {i} differs ({g} vs {w})");
+        }
+    }
+
+    const AXES: [Axis; 3] = [Axis::X, Axis::Y, Axis::Z];
+    const STEPS: [f32; 4] = [1.0, 0.5, 0.7, 1.3];
+
+    fn transfer_variant(which: usize, opacity: f32) -> TransferFunction {
+        match which {
+            0 => TransferFunction::Grayscale { opacity },
+            1 => TransferFunction::Fire { opacity },
+            _ => TransferFunction::Peak {
+                center: 0.45,
+                width: 0.3,
+                color: [0.3, 0.8, 0.5],
+                opacity,
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        /// The kernel against the per-pixel reference, float for float, over
+        /// volume shapes, up- and down-sampled images, every axis, unit and
+        /// non-unit steps, termination thresholds, transfer functions and
+        /// value ranges.
+        #[test]
+        fn kernel_is_bit_identical_to_the_per_pixel_reference(
+            dims in (1usize..41, 1usize..41, 1usize..41),
+            image in (1usize..98, 1usize..98),
+            shape in (0usize..3, 0usize..4, 0usize..3),
+            early_termination in 0.2f32..1.05,
+            opacity in 0.05f32..1.0,
+            range in (-0.5f32..0.5, 0.2f32..2.0),
+            seed in 0u64..1000,
+        ) {
+            let volume = combustion_jet(dims, 0.5, seed);
+            let (which_axis, which_step, which_tf) = shape;
+            let settings = RenderSettings {
+                image_width: image.0,
+                image_height: image.1,
+                step: STEPS[which_step],
+                early_termination,
+            };
+            let tf = transfer_variant(which_tf, opacity);
+            let (lo, hi) = volume.value_range();
+            let value_range = (lo + range.0 * (hi - lo), lo + range.1 * (hi - lo));
+            let axis = AXES[which_axis];
+            let case = format!("{dims:?} {image:?} {axis:?} {settings:?} {tf:?} {value_range:?}");
+            assert_bit_identical(
+                &render_region(&volume, axis, &tf, value_range, &settings),
+                &render_region_reference(&volume, axis, &tf, value_range, &settings),
+                &case,
+            );
+        }
+    }
+
+    #[test]
+    fn termination_ties_match_the_per_pixel_reference() {
+        // Quarter-step samples through a unit greyscale ramp make the
+        // accumulated opacity land exactly on each threshold, so a ray that
+        // stops one sample late (or early) shows up in the pixels.
+        let dims = (7, 6, 9);
+        let data = (0..dims.0 * dims.1 * dims.2)
+            .map(|i| ((i * 7) % 5) as f32 / 4.0)
+            .collect();
+        let volume = Volume::from_data(dims, data);
+        let tf = TransferFunction::Grayscale { opacity: 1.0 };
+        for axis in AXES {
+            for early_termination in [0.25, 0.5, 0.75, 0.875, 1.0] {
+                let settings = RenderSettings {
+                    image_width: 11,
+                    image_height: 5,
+                    step: 1.0,
+                    early_termination,
+                };
+                assert_bit_identical(
+                    &render_region(&volume, axis, &tf, (0.0, 1.0), &settings),
+                    &render_region_reference(&volume, axis, &tf, (0.0, 1.0), &settings),
+                    &format!("{axis:?} at threshold {early_termination}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn corridor_slab_is_bit_identical_to_the_per_pixel_reference() {
+        // The benchmark's render-bound shape: a 128x128x32 slab at 256^2,
+        // where every voxel column covers a 2x2 block of pixels.
+        let slab = combustion_jet((128, 128, 32), 0.5, 9);
+        let tf = TransferFunction::combustion_default();
+        let settings = RenderSettings::with_size(256, 256);
+        let range = slab.value_range();
+        assert_bit_identical(
+            &render_region(&slab, Axis::Z, &tf, range, &settings),
+            &render_region_reference(&slab, Axis::Z, &tf, range, &settings),
+            "128x128x32 at 256^2",
+        );
+    }
 
     fn test_volume() -> Volume {
         combustion_jet((32, 24, 24), 0.5, 7)

@@ -77,10 +77,17 @@ impl TransferFunction {
     /// Evaluate with opacity corrected for sample spacing: compositing `n`
     /// samples through a slab must give the same optical depth regardless of
     /// `n`.  `reference_samples / actual_samples` is the spacing ratio.
+    ///
+    /// At unit spacing the `powf` is skipped: `x.powf(1.0) == x` exactly, so
+    /// the result is still `1 - (1 - a)`, bit for bit.
     pub fn evaluate_corrected(&self, value: f32, spacing_ratio: f32) -> Rgba {
         let [r, g, b, a] = self.evaluate(value);
-        let corrected = 1.0 - (1.0 - a).powf(spacing_ratio.max(0.0));
-        [r, g, b, corrected]
+        let transmitted = if spacing_ratio == 1.0 {
+            1.0 - a
+        } else {
+            (1.0 - a).powf(spacing_ratio.max(0.0))
+        };
+        [r, g, b, 1.0 - transmitted]
     }
 }
 
@@ -142,6 +149,31 @@ mod tests {
         assert!(tf.evaluate(0.5)[3] > 0.99);
         assert_eq!(tf.evaluate(0.8)[3], 0.0);
         assert_eq!(tf.evaluate(0.2)[3], 0.0);
+    }
+
+    #[test]
+    fn unit_spacing_correction_is_bit_identical_to_powf() {
+        // A strided sweep over every f32 bit pattern in [0, 1], through each
+        // variant: the unit-spacing shortcut must equal the powf form.
+        let one = 1.0f32.to_bits();
+        for tf in [
+            TransferFunction::Grayscale { opacity: 0.9 },
+            TransferFunction::Fire { opacity: 0.6 },
+            TransferFunction::Peak {
+                center: 0.4,
+                width: 0.3,
+                color: [0.2, 0.9, 0.4],
+                opacity: 0.8,
+            },
+        ] {
+            for bits in (0..=one).step_by(997).chain([one]) {
+                let value = f32::from_bits(bits);
+                let [r, g, b, a] = tf.evaluate(value);
+                let expected = [r, g, b, 1.0 - (1.0 - a).powf(1.0)];
+                let got = tf.evaluate_corrected(value, 1.0);
+                assert_eq!(got.map(f32::to_bits), expected.map(f32::to_bits), "{tf:?} at {value:e}");
+            }
+        }
     }
 
     #[test]
