@@ -6,12 +6,15 @@
 //! resulting images are transmitted to the Visapult viewer for final assembly
 //! into a model (scene graph), then rendered to the user." (§3.4)
 //!
-//! [`run_backend`] executes that loop for real: one [`parcomm`] rank per
-//! processing element, each loading its Z-slab from a [`DataSource`],
-//! software-rendering it with [`volren`], and shipping light + heavy payloads
-//! to the viewer.  In [`ExecutionMode::Overlapped`] each rank runs the
-//! Appendix B process group: a detached reader thread loads timestep N+1 into
-//! the other half of a double buffer while the rank renders timestep N.
+//! [`run_backend`] executes that loop for real: one thread per processing
+//! element (the paper's MPI ranks), each loading its Z-slab from a
+//! [`DataSource`], software-rendering it with [`volren`], and shipping light +
+//! heavy payloads to the viewer, with the PEs in per-frame lockstep on one
+//! barrier.  The two [`ExecutionMode`]s share that one frame loop and differ
+//! only in where the next slab is loaded: inline (serial), or on a scoped
+//! reader thread that loads timestep N+1 while the PE renders and sends
+//! timestep N (overlapped; the Appendix B reader thread).  A failed load or
+//! send is a typed [`VisapultError`] from [`run_backend`], never a hang.
 
 use crate::config::{ExecutionMode, PipelineConfig};
 use crate::data_source::{slab_origin, DataSource};
@@ -19,9 +22,8 @@ use crate::error::VisapultError;
 use crate::protocol::{FramePayload, HeavyPayload, LightPayload};
 use crate::transport::StripeSender;
 use netlogger::{tags, NetLogger};
-use parcomm::{ProcessGroup, Rank, World};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 use volren::{render_region, AmrHierarchy, Axis, Volume};
 
@@ -149,144 +151,116 @@ fn send_frame(
     Ok(wire)
 }
 
-/// Run one PE in serial (load, then render, then send, per frame).
-fn run_pe_serial(
+/// Run `render` on the calling thread while `read`, if given, loads the next
+/// timestep on a scoped reader thread: the Appendix B overlap of timestep
+/// N+1's read with timestep N's render.  The reader is joined before this
+/// returns, so at most one read is in flight and at most two slabs are
+/// resident.  Returns the read's result (`None` when there was no read) and
+/// the render's.
+///
+/// Public so the Figure 11 overlap bench measures this exact code.
+pub fn prefetch_while<T: Send, R>(
+    read: Option<impl FnOnce() -> T + Send>,
+    render: impl FnOnce() -> R,
+) -> (Option<T>, R) {
+    std::thread::scope(|s| {
+        let reader = read.map(|read| s.spawn(read));
+        let rendered = render();
+        let read = reader.map(|r| r.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        (read, rendered)
+    })
+}
+
+/// Run one PE's frame loop.  Serial mode loads each slab inline; overlapped
+/// mode reads timestep 0 up front and then prefetches timestep N+1 while
+/// frame N renders and sends ([`prefetch_while`]).  Every frame ends at the
+/// shared `barrier`, and a PE whose load or send fails still arrives at each
+/// remaining frame barrier, so its peers are never stranded; the first
+/// failure is returned once the loop is done.
+fn run_pe(
     config: &PipelineConfig,
-    source: &Arc<dyn DataSource>,
-    rank: &Rank<()>,
+    source: &dyn DataSource,
+    rank: usize,
+    barrier: &Barrier,
     link: &StripeSender,
     log: Option<&NetLogger>,
 ) -> Result<PeReport, VisapultError> {
-    let r = rank.rank();
-    let mut bytes_loaded = 0u64;
-    let mut wire_bytes = 0u64;
-    for frame in 0..config.timesteps {
+    let pes = config.pes;
+    let overlapped = config.mode == ExecutionMode::Overlapped;
+    let load = |timestep: usize| -> Result<Volume, VisapultError> {
         if let Some(l) = log {
-            l.log_with(
-                tags::BE_FRAME_START,
-                [(tags::FIELD_FRAME, frame as u64), (tags::FIELD_RANK, r as u64)],
-            );
-            l.log_with(tags::BE_LOAD_START, [(tags::FIELD_FRAME, frame as u64)]);
+            l.log_with(tags::BE_LOAD_START, [(tags::FIELD_FRAME, timestep as u64)]);
         }
-        let volume = source.load_slab(frame, r, config.pes)?;
-        let loaded = source.slab_bytes(frame, r, config.pes);
-        bytes_loaded += loaded;
+        let volume = source.load_slab(timestep, rank, pes)?;
         if let Some(l) = log {
             l.log_with(
                 tags::BE_LOAD_END,
-                [(tags::FIELD_FRAME, frame as u64), (tags::FIELD_BYTES, loaded)],
+                [
+                    (tags::FIELD_FRAME, timestep as u64),
+                    (tags::FIELD_BYTES, source.slab_bytes(timestep, rank, pes)),
+                ],
             );
-            l.log_with(tags::BE_RENDER_START, [(tags::FIELD_FRAME, frame as u64)]);
         }
-        let payload = render_and_package(config, r, frame, &volume);
-        if let Some(l) = log {
-            l.log_with(tags::BE_RENDER_END, [(tags::FIELD_FRAME, frame as u64)]);
-        }
-        wire_bytes += send_frame(link, payload, log, frame)?;
-        if let Some(l) = log {
-            l.log_with(tags::BE_FRAME_END, [(tags::FIELD_FRAME, frame as u64)]);
-        }
-        rank.barrier();
-    }
-    Ok(PeReport {
-        rank: r,
+        Ok(volume)
+    };
+    let mut report = PeReport {
+        rank,
         frames: config.timesteps,
-        bytes_loaded,
-        wire_bytes,
-    })
-}
-
-/// Run one PE with overlapped loading and rendering (Appendix B).
-fn run_pe_overlapped(
-    config: &PipelineConfig,
-    source: &Arc<dyn DataSource>,
-    rank: &Rank<()>,
-    link: &StripeSender,
-    log: Option<&NetLogger>,
-) -> Result<PeReport, VisapultError> {
-    let r = rank.rank();
-    let pes = config.pes;
-    let reader_source = Arc::clone(source);
-    let reader_log = log.cloned();
-    // The double-buffered reader thread: loads the requested timestep's slab
-    // into its half of the buffer and emits the load-phase NetLogger events.
-    let mut group: ProcessGroup<Option<Volume>> = ProcessGroup::spawn(
-        || None,
-        move |timestep, slot| {
-            if let Some(l) = &reader_log {
-                l.log_with(tags::BE_LOAD_START, [(tags::FIELD_FRAME, timestep as u64)]);
-            }
-            let volume = reader_source
-                .load_slab(timestep, r, pes)
-                .expect("reader thread failed to load a slab");
-            let bytes = reader_source.slab_bytes(timestep, r, pes);
-            *slot = Some(volume);
-            if let Some(l) = &reader_log {
-                l.log_with(
-                    tags::BE_LOAD_END,
-                    [(tags::FIELD_FRAME, timestep as u64), (tags::FIELD_BYTES, bytes)],
-                );
-            }
-        },
-    );
-
-    let mut bytes_loaded = 0u64;
-    let mut wire_bytes = 0u64;
-    if config.timesteps > 0 {
-        group.request(0);
-        group.wait_ready();
-    }
-    for frame in 0..config.timesteps {
+        bytes_loaded: 0,
+        wire_bytes: 0,
+    };
+    let mut prefetched = (overlapped && config.timesteps > 0).then(|| load(0));
+    let mut frame_step = |frame: usize| -> Result<(), VisapultError> {
         if let Some(l) = log {
             l.log_with(
                 tags::BE_FRAME_START,
-                [(tags::FIELD_FRAME, frame as u64), (tags::FIELD_RANK, r as u64)],
+                [(tags::FIELD_FRAME, frame as u64), (tags::FIELD_RANK, rank as u64)],
             );
         }
-        // Request the next timestep before rendering this one ("while the
-        // data for frame N is being rendered, data for frame N+1 is being
-        // loaded").
-        if frame + 1 < config.timesteps {
-            group.request(frame + 1);
-        }
-        let payload = {
-            let slot = group.buffer(frame);
-            let volume = slot.as_ref().expect("requested slab must be resident");
+        let volume = match prefetched.take() {
+            Some(loaded) => loaded?,
+            None => load(frame)?,
+        };
+        report.bytes_loaded += source.slab_bytes(frame, rank, pes);
+        // "While the data for frame N is being rendered, data for frame N+1
+        // is being loaded."
+        let next = (overlapped && frame + 1 < config.timesteps).then_some(|| load(frame + 1));
+        let (next, sent) = prefetch_while(next, || {
             if let Some(l) = log {
                 l.log_with(tags::BE_RENDER_START, [(tags::FIELD_FRAME, frame as u64)]);
             }
-            let payload = render_and_package(config, r, frame, volume);
+            let payload = render_and_package(config, rank, frame, &volume);
             if let Some(l) = log {
                 l.log_with(tags::BE_RENDER_END, [(tags::FIELD_FRAME, frame as u64)]);
             }
-            payload
-        };
-        bytes_loaded += source.slab_bytes(frame, r, pes);
-        wire_bytes += send_frame(link, payload, log, frame)?;
-        if let Some(l) = log {
-            l.log_with(tags::BE_FRAME_END, [(tags::FIELD_FRAME, frame as u64)]);
+            let wire = send_frame(link, payload, log, frame)?;
+            if let Some(l) = log {
+                l.log_with(tags::BE_FRAME_END, [(tags::FIELD_FRAME, frame as u64)]);
+            }
+            Ok::<u64, VisapultError>(wire)
+        });
+        prefetched = next;
+        report.wire_bytes += sent?;
+        Ok(())
+    };
+    let mut failure = None;
+    for frame in 0..config.timesteps {
+        if failure.is_none() {
+            failure = frame_step(frame).err();
         }
-        if frame + 1 < config.timesteps {
-            group.wait_ready();
-        }
-        rank.barrier();
+        barrier.wait();
     }
-    let reads = group.terminate();
-    debug_assert_eq!(reads, config.timesteps);
-    Ok(PeReport {
-        rank: r,
-        frames: config.timesteps,
-        bytes_loaded,
-        wire_bytes,
-    })
+    failure.map_or(Ok(report), Err)
 }
 
-/// Run the full back end: one rank per PE, each shipping its payloads down
-/// its own viewer link.
+/// Run the full back end: one thread per PE, in per-frame lockstep, each
+/// shipping its payloads down its own viewer link.
 ///
 /// `viewer_links` must contain exactly `config.pes` striped senders (one per
 /// PE).  `logger`, when provided, is specialized per PE into
-/// `backend-worker-<rank>` program names on `pe-<rank>` hosts.
+/// `backend-worker-<rank>` program names on `pe-<rank>` hosts.  A failing PE
+/// does not stall the others: the run completes and returns the error of the
+/// lowest-ranked PE that failed.
 pub fn run_backend(
     config: &PipelineConfig,
     source: Arc<dyn DataSource>,
@@ -307,16 +281,22 @@ pub fn run_backend(
         )));
     }
     let start = Instant::now();
-    let results: Vec<Result<PeReport, VisapultError>> = World::run::<(), _, _>(config.pes, |rank| {
-        let r = rank.rank();
-        let pe_log = logger
-            .as_ref()
-            .map(|l| l.for_program(format!("backend-worker-{r}")).for_host(format!("pe-{r}")));
-        let link = &viewer_links[r];
-        match config.mode {
-            ExecutionMode::Serial => run_pe_serial(config, &source, &rank, link, pe_log.as_ref()),
-            ExecutionMode::Overlapped => run_pe_overlapped(config, &source, &rank, link, pe_log.as_ref()),
-        }
+    let barrier = Barrier::new(config.pes);
+    let results: Vec<Result<PeReport, VisapultError>> = std::thread::scope(|s| {
+        let pes: Vec<_> = viewer_links
+            .iter()
+            .enumerate()
+            .map(|(r, link)| {
+                let pe_log = logger
+                    .as_ref()
+                    .map(|l| l.for_program(format!("backend-worker-{r}")).for_host(format!("pe-{r}")));
+                let (source, barrier) = (&*source, &barrier);
+                s.spawn(move || run_pe(config, source, r, barrier, link, pe_log.as_ref()))
+            })
+            .collect();
+        pes.into_iter()
+            .map(|pe| pe.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
     });
     let per_pe = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     Ok(BackendReport {
@@ -443,6 +423,58 @@ mod tests {
         let analysis = netlogger::ProfileAnalysis::from_log(&log);
         assert_eq!(analysis.frames.len(), 2);
         assert!(analysis.frames.iter().all(|f| f.bytes_loaded > 0));
+    }
+
+    /// A source whose load of one (timestep, PE) slab fails.
+    struct FailingSource {
+        inner: SyntheticSource,
+        fail_at: (usize, usize),
+    }
+
+    impl DataSource for FailingSource {
+        fn descriptor(&self) -> &DatasetDescriptor {
+            self.inner.descriptor()
+        }
+
+        fn load_slab(&self, timestep: usize, pe: usize, total_pes: usize) -> Result<Volume, VisapultError> {
+            if (timestep, pe) == self.fail_at {
+                return Err(VisapultError::Dpss(dpss::DpssError::Closed));
+            }
+            self.inner.load_slab(timestep, pe, total_pes)
+        }
+    }
+
+    #[test]
+    fn a_failed_load_is_a_typed_error_not_a_hang() {
+        for mode in [ExecutionMode::Serial, ExecutionMode::Overlapped] {
+            let config = PipelineConfig::small(2, 3, mode);
+            // PE 1's frame-1 load fails; PE 0 is healthy throughout.
+            let source: Arc<dyn DataSource> = Arc::new(FailingSource {
+                inner: SyntheticSource::new(DatasetDescriptor::small_combustion(3), 7),
+                fail_at: (1, 1),
+            });
+            let (senders, receivers) = links(2, &TransportConfig::default());
+            let drains = spawn_drains(receivers);
+            // Bounded wait: a back end that strands a PE at a frame barrier
+            // fails the test instead of hanging it.
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let _ = done_tx.send(run_backend(&config, source, senders, None));
+            });
+            match done_rx.recv_timeout(Duration::from_secs(10)) {
+                Ok(Err(VisapultError::Dpss(dpss::DpssError::Closed))) => {}
+                Ok(other) => panic!("{mode:?}: expected the failed load's error, got {other:?}"),
+                Err(_) => panic!("{mode:?}: the back end hung after a PE's load failed"),
+            }
+            // PE 0 shipped all three frames; PE 1 only the frame before its
+            // failed load.
+            let mut shipped: Vec<(u32, u32)> = join_drains(drains)
+                .iter()
+                .map(|p| (p.light.rank, p.light.frame))
+                .collect();
+            shipped.sort_unstable();
+            assert_eq!(shipped, vec![(0, 0), (0, 1), (0, 2), (1, 0)], "{mode:?}");
+        }
     }
 
     #[test]

@@ -24,19 +24,14 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use volren::combustion_series_bytes;
 
-/// Where the back end reads its data from in a real campaign.
+/// How the back end reads its data in a real campaign: from synthetic data
+/// staged onto an in-process DPSS, through the multi-threaded client API (the
+/// paper's architecture).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum RealDataPath {
-    /// Stage synthetic data onto an in-process DPSS and read it back through
-    /// the multi-threaded client API (the paper's architecture).
-    Dpss {
-        /// Optional per-server-stream shaping emulating a WAN between the
-        /// cache and the back end.
-        stream_rate_mbps: Option<f64>,
-    },
-    /// Generate slabs directly in the back end (no cache); the "render local
-    /// data source" configuration used for quick tests.
-    Synthetic,
+pub struct RealDataPath {
+    /// Optional per-server-stream shaping emulating a WAN between the cache
+    /// and the back end.
+    pub stream_rate_mbps: Option<f64>,
 }
 
 /// The multi-session service layer of one campaign: broker capacity plus the

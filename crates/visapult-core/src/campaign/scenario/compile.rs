@@ -171,11 +171,6 @@ impl ScenarioSpec {
         let cache = match &self.cache {
             None => None,
             Some(spec) => {
-                if self.real.as_ref().and_then(|r| r.use_dpss) == Some(false) {
-                    return Err(bad(
-                        "a [cache] table requires the DPSS data path (real.use_dpss = true)".to_string(),
-                    ));
-                }
                 let capacity = spec.capacity_blocks.unwrap_or(4096);
                 let shards = spec.shards.unwrap_or(8);
                 if capacity == 0 {
@@ -333,7 +328,6 @@ impl ScenarioSpec {
             image,
             stages,
             real: self.real.clone().unwrap_or(RealPathSpec {
-                use_dpss: None,
                 stream_rate_mbps: None,
                 emulate_wan: None,
                 viewer_image: None,
@@ -508,9 +502,6 @@ impl ResolvedScenario {
 
     /// The real-path data configuration for this scenario.
     pub fn real_data_path(&self) -> RealDataPath {
-        if !self.real.use_dpss.unwrap_or(true) {
-            return RealDataPath::Synthetic;
-        }
         let rate = self.real.stream_rate_mbps.or_else(|| {
             if self.real.emulate_wan.unwrap_or(false) {
                 // Spread the testbed's bottleneck across every concurrent
@@ -522,7 +513,7 @@ impl ResolvedScenario {
                 None
             }
         });
-        RealDataPath::Dpss { stream_rate_mbps: rate }
+        RealDataPath { stream_rate_mbps: rate }
     }
 
     /// The virtual-time configuration for one stage.  An explicit
@@ -597,13 +588,9 @@ impl ResolvedScenario {
     }
 
     /// Build the scenario's persistent DPSS environment (cluster + staged
-    /// data + block cache), shared by every real-path stage.  `None` when the
-    /// scenario reads synthetic data directly.
-    pub fn build_real_env(&self) -> Result<Option<RealDpssEnv>, VisapultError> {
-        match self.real_data_path() {
-            RealDataPath::Synthetic => Ok(None),
-            RealDataPath::Dpss { .. } => RealDpssEnv::stage(&self.staged_dataset(), self.seed, self.cache).map(Some),
-        }
+    /// data + block cache), shared by every real-path stage.
+    pub fn build_real_env(&self) -> Result<RealDpssEnv, VisapultError> {
+        RealDpssEnv::stage(&self.staged_dataset(), self.seed, self.cache)
     }
 }
 

@@ -140,12 +140,12 @@ pub struct RenderSpec {
     pub image: Option<(usize, usize)>,
 }
 
-/// `[real]` — tuning that only applies on the real execution path.
+/// `[real]` — tuning that only applies on the real execution path, where the
+/// back end always reads its slabs through the scenario's staged DPSS.  A
+/// leftover `use_dpss = ...` key, from when the back end could generate slabs
+/// itself, is ignored like any other unknown key.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RealPathSpec {
-    /// Read slabs through an in-process DPSS (true, the default) or generate
-    /// them directly in the back end (false).
-    pub use_dpss: Option<bool>,
     /// Explicit per-server-stream shaping in Mbps.
     pub stream_rate_mbps: Option<f64>,
     /// Derive stream shaping from the testbed's bottleneck bandwidth, so the

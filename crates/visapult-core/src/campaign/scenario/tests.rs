@@ -149,7 +149,6 @@ fn out_of_range_efficiencies_are_rejected() {
     }
     let mut spec = minimal_spec(ExecutionPath::Real);
     spec.real = Some(RealPathSpec {
-        use_dpss: None,
         stream_rate_mbps: Some(0.0),
         emulate_wan: None,
         viewer_image: None,
@@ -374,21 +373,6 @@ fn invalid_cache_specs_are_rejected() {
         let err = spec.resolve().unwrap_err();
         assert!(err.to_string().contains("cache"), "{err}");
     }
-    // A cache on a synthetic (no-DPSS) data path would silently never
-    // take effect; reject it up front.
-    let mut spec = minimal_spec(ExecutionPath::Real);
-    spec.real = Some(RealPathSpec {
-        use_dpss: Some(false),
-        stream_rate_mbps: None,
-        emulate_wan: None,
-        viewer_image: None,
-    });
-    spec.cache = Some(CacheSpec {
-        capacity_blocks: None,
-        shards: None,
-    });
-    let err = spec.resolve().unwrap_err();
-    assert!(err.to_string().contains("use_dpss"), "{err}");
 }
 
 #[test]
@@ -908,7 +892,8 @@ fn fingerprint_covers_service_config_and_lifecycle() {
 #[test]
 fn service_workers_knob_parses_and_validates() {
     // `plane = "async"` is a leftover from when the real path had two
-    // planes, and `[farm]` one from when it had two render farms: both are
+    // planes, `[farm]` one from when it had two render farms, and
+    // `use_dpss` one from when the back end could skip the DPSS: all are
     // ignored like any other unknown key.
     let doc = r#"
 [scenario]
@@ -933,6 +918,9 @@ workers = 3
 backends = 2
 placement = "viewpoint_hash"
 
+[real]
+use_dpss = true
+
 [[stages]]
 name = "full"
 share = 100.0
@@ -948,6 +936,7 @@ share = 100.0
     assert_eq!(plan.workers, Some(3));
     assert!(!spec.to_toml_string().unwrap().contains("plane ="));
     assert!(!spec.to_toml_string().unwrap().contains("[farm]"));
+    assert!(!spec.to_toml_string().unwrap().contains("use_dpss"));
     // A zero pool is a config error.
     let mut zero = spec.clone();
     zero.service.as_mut().unwrap().workers = Some(0);

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use volren::{Axis, RenderSettings, TransferFunction};
 
 /// Whether each back-end PE loads and renders serially or overlapped
-/// (pipelined with a detached reader thread), the central comparison of §4.3.
+/// (pipelined with a reader thread), the central comparison of §4.3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ExecutionMode {
     /// Load frame N, then render frame N, then load frame N+1, …

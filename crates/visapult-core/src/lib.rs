@@ -1,11 +1,13 @@
 //! # visapult-core — the Visapult remote/distributed visualization framework
 //!
 //! This crate assembles the substrates ([`dpss`], [`netsim`], [`netlogger`],
-//! [`parcomm`], [`volren`], [`scenegraph`]) into the system the paper
-//! describes: a parallel, pipelined back end that loads slab-decomposed
-//! scientific data from a network data cache, volume renders it, and streams
-//! per-slab textures to a multi-threaded viewer whose IBR-assisted display is
-//! decoupled from network latency.
+//! [`volren`], [`scenegraph`]) into the system the paper describes: a
+//! parallel, pipelined [`backend`] — one thread per PE standing in for the
+//! paper's MPI ranks, each optionally overlapping the next timestep's read
+//! with the current render — that loads slab-decomposed scientific data from
+//! a network data cache, volume renders it, and streams per-slab textures to
+//! a multi-threaded viewer whose IBR-assisted display is decoupled from
+//! network latency.
 //!
 //! The front door is the declarative scenario engine
 //! ([`campaign::scenario`]): a TOML [`ScenarioSpec`] names a testbed, a

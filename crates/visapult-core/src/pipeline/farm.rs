@@ -10,9 +10,8 @@
 
 use super::{hash_image, FabricLinks, FarmRun, PhaseMeans, StageContext};
 use crate::backend::run_backend;
-use crate::campaign::real::RealDataPath;
 use crate::campaign::sim::model_stage;
-use crate::data_source::{DataSource, DpssDataSource, SyntheticSource};
+use crate::data_source::{DataSource, DpssDataSource};
 use crate::error::VisapultError;
 use crate::viewer::{Viewer, ViewerConfig};
 use netlogger::Collector;
@@ -44,18 +43,13 @@ impl RenderFarm for ThreadFarm {
         collector: &Collector,
     ) -> Result<FarmRun, VisapultError> {
         // Build the data source.
-        let source: Arc<dyn DataSource> = match ctx.data_path {
-            RealDataPath::Synthetic => Arc::new(SyntheticSource::new(ctx.pipeline.dataset.clone(), ctx.seed)),
-            RealDataPath::Dpss { stream_rate_mbps } => {
-                let env = ctx
-                    .env
-                    .ok_or_else(|| VisapultError::Config("a DPSS data path needs a staged RealDpssEnv".to_string()))?;
-                Arc::new(DpssDataSource::new(
-                    env.client(collector, stream_rate_mbps),
-                    ctx.pipeline.dataset.clone(),
-                ))
-            }
-        };
+        let env = ctx
+            .env
+            .ok_or_else(|| VisapultError::Config("the real farm needs a staged RealDpssEnv".to_string()))?;
+        let source: Arc<dyn DataSource> = Arc::new(DpssDataSource::new(
+            env.client(collector, ctx.data_path.stream_rate_mbps),
+            ctx.pipeline.dataset.clone(),
+        ));
 
         let viewer = Viewer::new(ViewerConfig {
             volume_dims: ctx.pipeline.dataset.dims,

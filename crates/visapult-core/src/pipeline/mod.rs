@@ -84,15 +84,13 @@ pub struct StageContext<'a> {
     pub transport: TransportConfig,
     /// Viewer window size (real farm only).
     pub viewer_image: (usize, usize),
-    /// Stage seed (feeds the synthetic dataset on the real path).
-    pub seed: u64,
     /// Where the real farm reads its data from.
     pub data_path: RealDataPath,
     /// The multi-session service plan (`None` = classic single-viewer
     /// wiring; both the fan-out plane and its replay key off this).
     pub service: Option<ServicePlan>,
     /// The persistent DPSS deployment the real farm reads through (`None` on
-    /// the virtual path, or when the data path is synthetic).
+    /// the virtual path).
     pub env: Option<&'a RealDpssEnv>,
     /// The calibrated stage model (`None` on the real path).
     pub sim: Option<SimCampaignConfig>,
@@ -323,13 +321,8 @@ pub(crate) fn drive_stage(caps: &PathCapabilities, ctx: &StageContext<'_>) -> Re
 /// emitter.
 fn collect_cache(ctx: &StageContext<'_>, before: CacheStats, run: &FarmRun, collector: &Collector) -> CacheStats {
     if let Some(env) = ctx.env {
-        let on_dpss = matches!(ctx.data_path, RealDataPath::Dpss { .. });
-        let delta = if on_dpss {
-            env.cache_stats().since(&before)
-        } else {
-            CacheStats::default()
-        };
-        if on_dpss && env.cache().is_some() {
+        let delta = env.cache_stats().since(&before);
+        if env.cache().is_some() {
             log_cache_stats(&collector.logger("dpss-cache", "block-cache"), None, &delta);
         }
         return delta;
@@ -511,17 +504,12 @@ impl Pipeline {
         // virtual-time path mirrors it with a telemetry-only cache fed the
         // same access sequence.
         let real_env = match resolved.path {
-            ExecutionPath::Real => resolved.build_real_env()?,
+            ExecutionPath::Real => Some(resolved.build_real_env()?),
             ExecutionPath::VirtualTime => None,
         };
         let sim_cache = match resolved.path {
-            // Only replay cache telemetry for scenarios whose real
-            // counterpart would actually mount the cache (a DPSS data path),
-            // so the two paths always report the same numbers.
-            ExecutionPath::VirtualTime if matches!(resolved.real_data_path(), RealDataPath::Dpss { .. }) => {
-                resolved.cache.map(BlockCache::new)
-            }
-            _ => None,
+            ExecutionPath::VirtualTime => resolved.cache.map(BlockCache::new),
+            ExecutionPath::Real => None,
         };
         let staged_dataset = resolved.staged_dataset();
         let mut cache_totals = CacheStats::default();
@@ -542,7 +530,6 @@ impl Pipeline {
                 pipeline: resolved.stage_pipeline(stage),
                 transport: resolved.stage_transport_config(stage),
                 viewer_image: resolved.real.viewer_image.unwrap_or((192, 192)),
-                seed: resolved.stage_seed(i),
                 data_path: resolved.real_data_path(),
                 service: resolved.stage_service_plan(i),
                 env: real_env.as_ref(),

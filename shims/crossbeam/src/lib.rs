@@ -1,14 +1,12 @@
 //! Offline stand-in for `crossbeam`, vendored so the workspace builds without
-//! registry access.  Two modules are provided, covering exactly what this
+//! registry access.  One module is provided, covering exactly what this
 //! workspace uses:
 //!
-//! * [`channel`] — unbounded MPMC channels (clonable senders *and* receivers,
-//!   `recv`/`try_recv`/`recv_timeout`, disconnect semantics) implemented over
-//!   `Mutex` + `Condvar`.  Slower than the real lock-free crossbeam under
-//!   contention, but semantically equivalent for the pipeline's
-//!   one-queue-per-PE pattern.
-//! * [`thread`] — `scope`/`spawn` with crossbeam's closure signature (the
-//!   closure receives `&Scope`), implemented over `std::thread::scope`.
+//! * [`channel`] — unbounded and bounded MPMC channels (clonable senders
+//!   *and* receivers, `recv`/`try_recv`/`try_send`, readiness hooks,
+//!   disconnect semantics) implemented over `Mutex` + `Condvar`.  Slower than
+//!   the real lock-free crossbeam under contention, but semantically
+//!   equivalent for the pipeline's one-queue-per-PE pattern.
 
 #![forbid(unsafe_code)]
 
@@ -16,7 +14,6 @@ pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;
     use std::sync::{Arc, Condvar, Mutex};
-    use std::time::{Duration, Instant};
 
     /// A readiness callback fired *after* the channel lock is released, so a
     /// hook may take other locks (e.g. an executor's) without inversion risk.
@@ -95,15 +92,6 @@ pub mod channel {
         Disconnected,
     }
 
-    /// Errors from [`Receiver::recv_timeout`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum RecvTimeoutError {
-        /// No message arrived in time.
-        Timeout,
-        /// Channel empty and every sender is gone.
-        Disconnected,
-    }
-
     impl<T> fmt::Debug for SendError<T> {
         fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
             f.write_str("SendError(..)")
@@ -150,15 +138,6 @@ pub mod channel {
             match self {
                 TryRecvError::Empty => f.write_str("receiving on an empty channel"),
                 TryRecvError::Disconnected => f.write_str("receiving on an empty and disconnected channel"),
-            }
-        }
-    }
-
-    impl fmt::Display for RecvTimeoutError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                RecvTimeoutError::Timeout => f.write_str("timed out waiting on channel"),
-                RecvTimeoutError::Disconnected => f.write_str("channel is empty and disconnected"),
             }
         }
     }
@@ -399,44 +378,6 @@ pub mod channel {
             }
         }
 
-        /// Blocking receive with a deadline.
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
-            let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                let was_full = self.shared.capacity == Some(state.queue.len());
-                if let Some(v) = state.queue.pop_front() {
-                    let wake = state.space_waiters > 0;
-                    let hooks = if was_full {
-                        snapshot_hooks(&state.space_hooks)
-                    } else {
-                        None
-                    };
-                    drop(state);
-                    if wake {
-                        self.shared.space.notify_one();
-                    }
-                    fire_hooks(hooks);
-                    return Ok(v);
-                }
-                if state.senders == 0 {
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(RecvTimeoutError::Timeout);
-                }
-                state.ready_waiters += 1;
-                let (guard, _timeout_result) = self
-                    .shared
-                    .ready
-                    .wait_timeout(state, deadline - now)
-                    .unwrap_or_else(|e| e.into_inner());
-                state = guard;
-                state.ready_waiters -= 1;
-            }
-        }
-
         /// Register a hook fired on every empty→non-empty transition of this
         /// channel and when every sender disconnects.  For a consumer that
         /// parks when the channel is empty: check emptiness *after*
@@ -528,6 +469,7 @@ pub mod channel {
     #[cfg(test)]
     mod tests {
         use super::*;
+        use std::time::Duration;
 
         #[test]
         fn send_recv_fifo() {
@@ -547,17 +489,6 @@ pub mod channel {
             let (tx, rx) = unbounded();
             drop(rx);
             assert!(tx.send(1).is_err());
-        }
-
-        #[test]
-        fn timeout_expires_then_delivers() {
-            let (tx, rx) = unbounded();
-            assert_eq!(
-                rx.recv_timeout(Duration::from_millis(5)),
-                Err(RecvTimeoutError::Timeout)
-            );
-            tx.send(9).unwrap();
-            assert_eq!(rx.recv_timeout(Duration::from_millis(5)), Ok(9));
         }
 
         #[test]
@@ -668,90 +599,6 @@ pub mod channel {
             }
             tx.send(1u8).unwrap();
             assert_eq!(fired.load(Ordering::SeqCst), 3);
-        }
-    }
-}
-
-pub mod thread {
-    //! Crossbeam-style scoped threads over `std::thread::scope`.
-
-    /// A scope handle; crossbeam passes one to `scope` closures and to every
-    /// spawned closure.
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    /// Join handle for a scoped thread.
-    pub struct ScopedJoinHandle<'scope, T> {
-        inner: std::thread::ScopedJoinHandle<'scope, T>,
-    }
-
-    impl<'scope, T> ScopedJoinHandle<'scope, T> {
-        /// Wait for the thread; `Err` carries the panic payload.
-        pub fn join(self) -> std::thread::Result<T> {
-            self.inner.join()
-        }
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawn a thread inside the scope.  The closure receives the scope
-        /// (crossbeam's signature) so it can spawn further threads.
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let inner = self.inner;
-            ScopedJoinHandle {
-                inner: inner.spawn(move || f(&Scope { inner })),
-            }
-        }
-    }
-
-    /// Run `f` with a scope; all spawned threads are joined before returning.
-    /// `Err` carries a panic payload, as in crossbeam.
-    pub fn scope<'env, F, R>(f: F) -> std::thread::Result<R>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            std::thread::scope(|s| f(&Scope { inner: s }))
-        }))
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        #[test]
-        fn scoped_threads_borrow_and_join() {
-            let counter = AtomicUsize::new(0);
-            let counter_ref = &counter;
-            let sum = scope(|s| {
-                let handles: Vec<_> = (0..4)
-                    .map(|i| {
-                        s.spawn(move |_| {
-                            counter_ref.fetch_add(1, Ordering::SeqCst);
-                            i * 2
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).sum::<usize>()
-            })
-            .unwrap();
-            assert_eq!(sum, 12);
-            assert_eq!(counter.load(Ordering::SeqCst), 4);
-        }
-
-        #[test]
-        fn panics_surface_as_err() {
-            let r = scope(|s| {
-                let h = s.spawn(|_| panic!("boom"));
-                h.join().expect_err("thread panicked");
-                panic!("propagate");
-            });
-            assert!(r.is_err());
         }
     }
 }

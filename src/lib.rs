@@ -9,9 +9,8 @@
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`netsim`]      | WAN testbed models, TCP dynamics, fair-share flow simulation, token-bucket shaping |
+//! | [`netsim`]      | WAN testbed models, TCP dynamics, token-bucket shaping |
 //! | [`netlogger`]   | NetLogger-style event logging, NLV lifeline plots, phase analysis |
-//! | [`parcomm`]     | MPI-like rank communicator and the Appendix B reader/render process groups |
 //! | [`dpss`]        | the Distributed Parallel Storage System: master, block servers, client API, HPSS staging |
 //! | [`volren`]      | parallel software volume rendering, domain decomposition, synthetic combustion/cosmology data |
 //! | [`scenegraph`]  | retained-mode scene graph, software rasterizer, IBR-assisted volume rendering |
@@ -50,7 +49,6 @@
 pub use dpss;
 pub use netlogger;
 pub use netsim;
-pub use parcomm;
 pub use scenegraph;
 pub use volren;
 
@@ -64,7 +62,6 @@ mod tests {
         // Touch one symbol from each re-exported crate.
         let _ = crate::netsim::Bandwidth::oc12();
         let _ = crate::netlogger::Collector::virtual_time();
-        let _ = crate::parcomm::Semaphore::new(1);
         let _ = crate::dpss::StripeLayout::four_server();
         let _ = crate::volren::TransferFunction::combustion_default();
         let _ = crate::scenegraph::SceneGraph::new();

@@ -10,24 +10,12 @@ use visapult::core::{
 };
 use visapult::netlogger::{tags, Collector, LifelinePlot, NlvOptions, ProfileAnalysis};
 
-/// Where a real campaign reads its slabs from.
-#[derive(Clone, Copy)]
-enum Data {
-    /// Generated in the back end (no cache).
-    Synthetic,
-    /// Through an in-process DPSS, optionally shaped per server stream.
-    Dpss { stream_rate_mbps: Option<f64> },
-}
-
-/// A one-stage real-path campaign over the laptop-scale 80×32×32 dataset.
-fn campaign(pes: usize, timesteps: usize, execution: &str, data: Data) -> ScenarioSpec {
-    let real = match data {
-        Data::Synthetic => "use_dpss = false".to_string(),
-        Data::Dpss { stream_rate_mbps: None } => "use_dpss = true".to_string(),
-        Data::Dpss {
-            stream_rate_mbps: Some(mbps),
-        } => format!("use_dpss = true\nstream_rate_mbps = {mbps:?}"),
-    };
+/// A one-stage real-path campaign over the laptop-scale 80×32×32 dataset,
+/// read through an in-process DPSS, optionally shaped per server stream.
+fn campaign(pes: usize, timesteps: usize, execution: &str, stream_rate_mbps: Option<f64>) -> ScenarioSpec {
+    let real = stream_rate_mbps
+        .map(|mbps| format!("stream_rate_mbps = {mbps:?}"))
+        .unwrap_or_default();
     ScenarioSpec::from_toml_str(&format!(
         "[scenario]\nname = \"end-to-end\"\nseed = 42\npath = \"real\"\n\n\
          [testbed]\nkind = \"lan-smp\"\n\n\
@@ -90,7 +78,7 @@ fn run(spec: ScenarioSpec) -> Run {
 
 #[test]
 fn dpss_backed_campaign_end_to_end() {
-    let run = run(campaign(4, 3, "serial", Data::Dpss { stream_rate_mbps: None }));
+    let run = run(campaign(4, 3, "serial", None));
 
     // Every PE delivered every frame to the viewer.
     assert_eq!(run.viewer.frames_received, 4 * 3);
@@ -105,8 +93,8 @@ fn dpss_backed_campaign_end_to_end() {
 
 #[test]
 fn overlapped_and_serial_campaigns_produce_identical_images() {
-    let serial = run(campaign(2, 3, "serial", Data::Synthetic));
-    let overlapped = run(campaign(2, 3, "overlapped", Data::Synthetic));
+    let serial = run(campaign(2, 3, "serial", None));
+    let overlapped = run(campaign(2, 3, "overlapped", None));
     assert_eq!(serial.viewer.frames_received, overlapped.viewer.frames_received);
     let diff = serial.viewer.final_image.mean_abs_diff(&overlapped.viewer.final_image);
     assert!(
@@ -119,15 +107,8 @@ fn overlapped_and_serial_campaigns_produce_identical_images() {
 fn shaped_dpss_link_slows_loading_but_not_correctness() {
     // Shape each DPSS server stream to ~1 MB/s so the load phase visibly
     // dominates, the way a WAN-limited campaign behaves.
-    let fast = run(campaign(2, 2, "serial", Data::Dpss { stream_rate_mbps: None }));
-    let slow = run(campaign(
-        2,
-        2,
-        "serial",
-        Data::Dpss {
-            stream_rate_mbps: Some(8.0),
-        },
-    ));
+    let fast = run(campaign(2, 2, "serial", None));
+    let slow = run(campaign(2, 2, "serial", Some(8.0)));
     assert_eq!(fast.viewer.frames_received, slow.viewer.frames_received);
     let fast_load = ProfileAnalysis::from_log(&fast.report.log).load_stats().mean;
     let slow_load = ProfileAnalysis::from_log(&slow.report.log).load_stats().mean;
@@ -141,7 +122,7 @@ fn shaped_dpss_link_slows_loading_but_not_correctness() {
 
 #[test]
 fn netlogger_profile_covers_both_ends_and_renders_a_lifeline() {
-    let report = run(campaign(3, 2, "overlapped", Data::Synthetic)).report;
+    let report = run(campaign(3, 2, "overlapped", None)).report;
     // Backend and viewer events for every (PE, frame).
     assert_eq!(report.log.with_tag(tags::BE_LOAD_END).count(), 6);
     assert_eq!(report.log.with_tag(tags::BE_RENDER_END).count(), 6);
@@ -162,7 +143,7 @@ fn netlogger_profile_covers_both_ends_and_renders_a_lifeline() {
 
 #[test]
 fn single_pe_campaign_works() {
-    let run = run(campaign(1, 2, "overlapped", Data::Synthetic));
+    let run = run(campaign(1, 2, "overlapped", None));
     assert_eq!(run.viewer.frames_received, 2);
     assert!(run.viewer.final_image.coverage() > 0.0);
 }
